@@ -69,15 +69,14 @@ def _make_run_fn(args, T: int):
 
 
 def _load_stream(path: str, args) -> tuple[Stream, int]:
+    """Read and validate a stream; T is the header's unless --T overrides it."""
     s = streammod.read_file(path)
-    report = streammod.validate(s)
-    if not report.ok:
-        item, t = report.violation
-        raise ModelViolationError(
-            f"stream violates the likes model (item {item} at step {t})"
-        )
-    T = args.T if getattr(args, "T", None) else s.T
-    return s, T
+    streammod.require_valid(s)
+    if args.T is None:
+        return s, s.T
+    if args.T < s.length:  # would understate the length-calibrated sensitivity
+        raise ParameterError(f"--T {args.T} is shorter than the stream ({s.length} steps)")
+    return s, args.T
 
 
 def cmd_generate(args) -> int:
@@ -123,11 +122,11 @@ def cmd_run(args) -> int:
     run_fn = _make_run_fn(args, T)
     src = RandomSource(args.seed, args.noise)
     result = run_fn(src, s)
+    report = harness.evaluate(result, s)
     truth = distinct_counts(s)
     lines = ["t,output,truth,abs_error"]
     for t, (out, q) in enumerate(zip(result.outputs, truth), start=1):
         lines.append(f"{t},{_fmt(out)},{q},{_fmt(abs(out - q))}")
-    report = harness.evaluate(result, s)
     lines.append(
         f"# max_error={_fmt(report.max_error)}"
         f" aborts={1 if result.abort_step is not None else 0}"

@@ -10,7 +10,14 @@ class ParameterError(ValueError):
 
 
 class StreamFormatError(ValueError):
-    """Malformed stream input: bad file syntax, out-of-range ids, duplicates."""
+    """Malformed stream input: bad file syntax, out-of-range ids, duplicates.
+
+    ``step`` is the 1-based step of the offending batch, when one is known.
+    """
+
+    def __init__(self, message: str, step: int | None = None):
+        super().__init__(message)
+        self.step = step
 
 
 class ModelViolationError(ValueError):

@@ -11,6 +11,10 @@ to trivial/additive-noise baselines when those dominate, per-step Laplace and
 Gaussian baselines, a binary-tree counter on the difference sequence for the
 likes model, and the adapter that turns an event-level mechanism into an
 item-level one by prepending a zero step.
+
+The count sequence q_t does not depend on the noise, so every runner reads it
+from the validated ``Stream`` (``Stream.counts``) and no runner replays the
+batches; the known-K instances are fed q_t by one step driver.
 """
 
 from __future__ import annotations
@@ -22,13 +26,8 @@ from typing import Callable
 from . import stream as streammod
 from .errors import ParameterError
 from .noise import RandomSource
-from .stream import CounterState, Stream, UpdateBatch, apply_batch, require_valid
-
-QueryOracle = Callable[[CounterState], float]
-
-
-def _default_query(state: CounterState) -> float:
-    return float(state.q)
+from .stream import Stream, UpdateBatch, apply_batch, diff_sequence, require_valid
+from .svt import fires, threshold_noise
 
 
 @dataclass(frozen=True)
@@ -37,8 +36,8 @@ class PrivacyParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ParameterError(f"epsilon must be positive, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ParameterError(f"epsilon must be positive and finite, got {self.eps}")
         if not 0 <= self.delta < 1:
             raise ParameterError(f"delta must be in [0, 1), got {self.delta}")
         if self.delta > 0 and self.eps >= 1:
@@ -100,18 +99,23 @@ def derive_known_k_config(
 
 
 class MechanismAborted(RuntimeError):
-    """Raised when step() is called on a mechanism that has already aborted."""
+    """Raised when a step is taken on a mechanism that has already aborted."""
 
 
 class KnownKMechanism:
     """Threshold-monitored distinct-count mechanism for a known flippancy budget.
 
-    State is the shared item counters plus a constant number of scalars.  Each
-    step costs one Laplace draw plus work proportional to the batch size; a
-    refresh costs two more draws.  At most S_K estimates are released
-    (including the initial one); a refresh request beyond that budget aborts
-    the instance instead of refreshing, so a stream whose flippancy stays
-    within budget is processed in full.
+    State is a constant number of scalars, plus the item counters when the
+    caller feeds batches.  Each step costs one Laplace draw; a refresh costs
+    two more.  At most S_K estimates are released (including the initial
+    one); a refresh request beyond that budget aborts the instance instead of
+    refreshing, so a stream whose flippancy stays within budget is processed
+    in full.
+
+    ``step_count`` takes the live distinct count q_t.  ``step`` takes an
+    update batch, applies it to ``counters`` (a ``CounterState``) and then
+    takes the count step; callers that only use ``step_count`` pass None as
+    ``counters``.
 
     ``freeze`` turns this into the variant that never updates its released
     value: the threshold test and abort bookkeeping run unchanged against the
@@ -121,19 +125,17 @@ class KnownKMechanism:
     def __init__(
         self,
         config: KnownKConfig,
-        counters: CounterState,
+        counters,
         src: RandomSource,
-        query: QueryOracle | None = None,
         freeze: bool = False,
         frozen_out: float = 0.0,
     ):
         self.config = config
         self.counters = counters
         self._src = src
-        self._query = query or _default_query
         self.freeze = freeze
         self.count = 1
-        self.tau = src.laplace(2.0 / config.eps1)
+        self.tau = threshold_noise(config.eps1, src)
         nu = src.laplace(1.0 / config.eps1)
         self.out = frozen_out if freeze else 0.0 + nu
         self.aborted = False
@@ -142,15 +144,19 @@ class KnownKMechanism:
     def step(self, batch: UpdateBatch) -> float:
         if self.aborted:
             raise MechanismAborted("step() after abort")
-        cfg = self.config
         apply_batch(self.counters, batch)
-        q = self._query(self.counters)
-        mu = self._src.laplace(4.0 / cfg.eps1)
-        if abs(self.out - q) + mu > cfg.thresh + self.tau:
+        return self.step_count(self.counters.q)
+
+    def step_count(self, q: int) -> float:
+        """One step on the live distinct count q; returns the released value."""
+        if self.aborted:
+            raise MechanismAborted("step after abort")
+        cfg = self.config
+        if fires(abs(self.out - q), cfg.thresh, self.tau, cfg.eps1, self._src):
             self.yes_events += 1
             if self.count < cfg.S_K:
                 self.count += 1
-                self.tau = self._src.laplace(2.0 / cfg.eps1)
+                self.tau = threshold_noise(cfg.eps1, self._src)
                 nu = self._src.laplace(1.0 / cfg.eps1)
                 if not self.freeze:
                     self.out = q + nu
@@ -160,6 +166,16 @@ class KnownKMechanism:
                 # estimate budget exhausted (S_K = 1): abort without a refresh
                 self.aborted = True
         return self.out
+
+
+def _drive(mech: KnownKMechanism, counts, t: int, outputs: list[float]) -> int:
+    """Feed q_t from ``counts[t:]`` to ``mech`` until it aborts or the counts
+    end; append each release to ``outputs`` and return the next step's index."""
+    n = len(counts)
+    while t < n and not mech.aborted:
+        outputs.append(mech.step_count(counts[t]))
+        t += 1
+    return t
 
 
 @dataclass
@@ -179,7 +195,6 @@ def run_known_k(
     K: int,
     stream: Stream,
     src: RandomSource,
-    query: QueryOracle | None = None,
 ) -> RunResult:
     """One known-K instance over the whole stream.
 
@@ -187,23 +202,15 @@ def run_known_k(
     repeated for the remaining steps and the abort step is reported.
     """
     config = derive_known_k_config(pp, K, T, beta)
-    counters = CounterState(stream.d)
-    mech = KnownKMechanism(config, counters, src, query=query)
+    mech = KnownKMechanism(config, None, src)
     outputs: list[float] = []
-    abort_step = None
-    for t, batch in enumerate(stream.batches, start=1):
-        if mech.aborted:
-            apply_batch(counters, batch)
-            outputs.append(mech.out)
-        else:
-            outputs.append(mech.step(batch))
-            if mech.aborted:
-                abort_step = t
+    t = _drive(mech, stream.counts, 0, outputs)
+    outputs.extend([mech.out] * (stream.length - t))
     return RunResult(
         outputs=outputs,
         yes_events=mech.yes_events,
         instances=1,
-        abort_step=abort_step,
+        abort_step=t if mech.aborted else None,
     )
 
 
@@ -213,36 +220,29 @@ def run_unknown_k(
     T: int,
     stream: Stream,
     src: RandomSource,
-    query: QueryOracle | None = None,
 ) -> RunResult:
     """Doubling wrapper: rerun the known-K mechanism with K_j = 2^j.
 
     The j-th instance gets eps_j = 6*eps/(pi^2 j^2) (and delta, beta scaled
-    the same way) so the budgets sum to the overall parameters.  Counters
-    carry over across instances; noise state does not.
+    the same way) so the budgets sum to the overall parameters.  Each
+    instance picks up at the live count where the previous one aborted;
+    noise state does not carry over.
     """
-    counters = CounterState(stream.d)
+    counts = stream.counts
     outputs: list[float] = []
     indices: list[int] = []
     yes_total = 0
     j = 0
-    batches = stream.batches
     t = 0
-    mech = None
-    while t < len(batches):
-        if mech is None or mech.aborted:
-            if mech is not None:
-                yes_total += mech.yes_events
-            j += 1
-            scale = 6 / (math.pi**2 * j**2)
-            pp_j = PrivacyParams(pp.eps * scale, pp.delta * scale)
-            config = derive_known_k_config(pp_j, 2**j, T, beta * scale)
-            mech = KnownKMechanism(config, counters, src, query=query)
-            continue
-        outputs.append(mech.step(batches[t]))
-        indices.append(j)
-        t += 1
-    if mech is not None:
+    while t < len(counts):
+        j += 1
+        scale = 6 / (math.pi**2 * j**2)
+        pp_j = PrivacyParams(pp.eps * scale, pp.delta * scale)
+        config = derive_known_k_config(pp_j, 2**j, T, beta * scale)
+        mech = KnownKMechanism(config, None, src)
+        start = t
+        t = _drive(mech, counts, t, outputs)
+        indices.extend([j] * (t - start))
         yes_total += mech.yes_events
     return RunResult(
         outputs=outputs,
@@ -259,13 +259,23 @@ def _err_T(pp: PrivacyParams, beta: float, T: int) -> float:
     return math.sqrt(T * math.log(1 / pp.delta) * math.log(T / beta)) / pp.eps
 
 
+def _laplace_release(pp: PrivacyParams, T: int, counts, src: RandomSource) -> list[float]:
+    """q_t + Lap(T/eps) at every step: the stream-length sensitivity bound."""
+    return [q + src.laplace(T / pp.eps) for q in counts]
+
+
+def _gaussian_release(pp: PrivacyParams, T: int, counts, src: RandomSource) -> list[float]:
+    """q_t + N(0, sigma^2) at every step, sigma from the sqrt(T) L2 bound."""
+    sigma = math.sqrt(2 * math.log(2 / pp.delta)) * math.sqrt(T) / pp.eps
+    return [q + src.gaussian(sigma) for q in counts]
+
+
 def run_unknown_k_all_bounds(
     pp: PrivacyParams,
     beta: float,
     T: int,
     stream: Stream,
     src: RandomSource,
-    query: QueryOracle | None = None,
 ) -> RunResult:
     """Doubling wrapper that defers to a trivial algorithm when that wins.
 
@@ -277,16 +287,16 @@ def run_unknown_k_all_bounds(
     latest boundary refresh for the whole instance.
     """
     d = stream.d
-    counters = CounterState(d)
+    counts = stream.counts
+    n = len(counts)
     outputs: list[float] = []
     indices: list[int] = []
     err_T = _err_T(pp, beta, T)
     out = 0.0  # pre-boundary frozen value; data-independent
-    batches = stream.batches
     t = 0
     j = 0
     fallback = None
-    while t < len(batches):
+    while t < n:
         j += 1
         eps_j = 12 * pp.eps / (math.pi**2 * j**2)
         delta_j = 6 * pp.delta / (math.pi**2 * j**2)
@@ -302,39 +312,24 @@ def run_unknown_k_all_bounds(
         if min(K_j, B_j) > min(d, err_T):
             if d <= err_T:
                 fallback = "zero"
-                while t < len(batches):
-                    apply_batch(counters, batches[t])
-                    outputs.append(0.0)
-                    indices.append(j)
-                    t += 1
+                outputs.extend([0.0] * (n - t))
+            elif pp.delta == 0:
+                fallback = "laplace"
+                outputs.extend(_laplace_release(pp, T, counts[t:], src))
             else:
-                fallback = "laplace" if pp.delta == 0 else "gaussian"
-                sigma = None
-                if pp.delta > 0:
-                    sigma = math.sqrt(2 * math.log(2 / pp.delta)) * math.sqrt(T) / pp.eps
-                while t < len(batches):
-                    apply_batch(counters, batches[t])
-                    if pp.delta == 0:
-                        noisy = counters.q + src.laplace(T / pp.eps)
-                    else:
-                        noisy = counters.q + src.gaussian(sigma)
-                    outputs.append(noisy)
-                    indices.append(j)
-                    t += 1
+                fallback = "gaussian"
+                outputs.extend(_gaussian_release(pp, T, counts[t:], src))
+            indices.extend([j] * (n - t))
             break
         pp_j = PrivacyParams(eps_j, delta_j)
         config = derive_known_k_config(pp_j, K_j, T, beta_j)
         freeze = K_j < B_j
-        mech = KnownKMechanism(
-            config, counters, src, query=query, freeze=freeze, frozen_out=out
-        )
-        while t < len(batches) and not mech.aborted:
-            outputs.append(mech.step(batches[t]))
-            indices.append(j)
-            t += 1
+        mech = KnownKMechanism(config, None, src, freeze=freeze, frozen_out=out)
+        start = t
+        t = _drive(mech, counts, t, outputs)
+        indices.extend([j] * (t - start))
         # boundary refresh: released value between instances
-        q = query(counters) if query else float(counters.q)
-        out = q + src.laplace(1.0 / eps_j)
+        out = counts[t - 1] + src.laplace(1.0 / eps_j)
     return RunResult(
         outputs=outputs,
         instances=j,
@@ -351,12 +346,7 @@ def run_laplace_baseline(
     pp: PrivacyParams, T: int, stream: Stream, src: RandomSource
 ) -> RunResult:
     """Per-step Laplace release with the stream-length sensitivity bound."""
-    counters = CounterState(stream.d)
-    outputs = []
-    for batch in stream.batches:
-        apply_batch(counters, batch)
-        outputs.append(counters.q + src.laplace(T / pp.eps))
-    return RunResult(outputs=outputs)
+    return RunResult(outputs=_laplace_release(pp, T, stream.counts, src))
 
 
 def run_gaussian_baseline(
@@ -365,13 +355,7 @@ def run_gaussian_baseline(
     """Per-step Gaussian release with the sqrt(T) L2-sensitivity bound."""
     if pp.delta <= 0:
         raise ParameterError("the Gaussian baseline requires delta > 0")
-    sigma = math.sqrt(2 * math.log(2 / pp.delta)) * math.sqrt(T) / pp.eps
-    counters = CounterState(stream.d)
-    outputs = []
-    for batch in stream.batches:
-        apply_batch(counters, batch)
-        outputs.append(counters.q + src.gaussian(sigma))
-    return RunResult(outputs=outputs)
+    return RunResult(outputs=_gaussian_release(pp, T, stream.counts, src))
 
 
 class ContinualCountingMechanism:
@@ -383,8 +367,8 @@ class ContinualCountingMechanism:
     """
 
     def __init__(self, eps: float, T: int, src: RandomSource):
-        if eps <= 0:
-            raise ParameterError(f"epsilon must be positive, got {eps}")
+        if not (math.isfinite(eps) and eps > 0):
+            raise ParameterError(f"epsilon must be positive and finite, got {eps}")
         if T < 1:
             raise ParameterError(f"T must be >= 1, got {T}")
         self.eps = eps
@@ -427,15 +411,8 @@ def run_continual_likes(
         raise ParameterError(
             "the continual-counting baseline requires a likes-model stream"
         )
-    counters = CounterState(stream.d)
     mech = ContinualCountingMechanism(eps, T, src)
-    outputs = []
-    prev_q = 0
-    for batch in stream.batches:
-        apply_batch(counters, batch)
-        outputs.append(mech.add(counters.q - prev_q))
-        prev_q = counters.q
-    return RunResult(outputs=outputs)
+    return RunResult(outputs=[mech.add(diff) for diff in diff_sequence(stream)])
 
 
 def run_event_to_item(
@@ -452,7 +429,7 @@ def run_event_to_item(
         d=stream.d,
         T=stream.T + 1,
         model=stream.model,
-        batches=[[]] + [list(b) for b in stream.batches],
+        batches=[[], *stream.batches],
     )
     inner = inner_run(padded)
     return RunResult(

@@ -81,10 +81,3 @@ class RandomSource:
             raise ParameterError(f"Gaussian std must be positive, got {sigma}")
         return sigma * self._rng.standard_normal(size)
 
-
-def sample_laplace(src: RandomSource, b: float) -> float:
-    return src.laplace(b)
-
-
-def sample_gaussian(src: RandomSource, sigma: float) -> float:
-    return src.gaussian(sigma)

@@ -9,14 +9,21 @@ models are supported:
 * ``likes``: every prefix sum must stay in {0, 1} (insert only if absent,
   delete only if present).
 
-This module also provides the exact distinct-count oracle, the flippancy
-summary (how often each item's presence indicator flips, with the indicator
-defined to be 0 before the stream starts), the difference sequence of the
-distinct count, and the ``.dstream`` text format.
+A ``Stream`` is the boundary of the package: its constructor checks every
+batch once and, in the same pass, records the exact distinct count after
+every step (the count sequence q_t), each item's flippancy (how often its
+presence indicator flips, with the indicator defined to be 0 before the
+stream starts), the first likes-model violation and whether every batch is a
+singleton.  The oracles below read these stored values, and mechanisms read
+q_t from the stream instead of replaying its batches.  ``CounterState`` and
+``apply_batch`` replay batches one at a time for callers that feed a
+mechanism batch by batch.  The module also provides the ``.dstream`` text
+format.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from .errors import ModelViolationError, ParameterError, StreamFormatError
@@ -30,16 +37,25 @@ _MODELS = (GENERAL, LIKES)
 
 @dataclass
 class Stream:
-    """A turnstile input stream.
+    """A turnstile input stream, validated once at construction.
 
     ``T`` is the declared length bound; ``batches`` may be shorter, in which
-    case the missing suffix is all-zero.
+    case the missing suffix is all-zero.  A malformed batch raises
+    ``StreamFormatError`` naming its step.  The constructor stores ``counts``
+    (q_t after each step), ``flips`` (per item), ``violation`` (the (item,
+    step) of the first likes-model violation, or None) and ``singleton``.
+    A Stream is not changed after construction: these values would no longer
+    describe its batches.
     """
 
     d: int
     T: int
     model: str
     batches: list[UpdateBatch] = field(default_factory=list)
+    counts: array = field(init=False, repr=False, compare=False)
+    flips: array = field(init=False, repr=False, compare=False)
+    violation: tuple[int, int] | None = field(init=False, repr=False, compare=False)
+    singleton: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -52,6 +68,35 @@ class Stream:
             raise StreamFormatError(
                 f"stream has {len(self.batches)} batches but declares T={self.T}"
             )
+        likes = self.model == LIKES
+        sums = [0] * self.d
+        flips = [0] * self.d
+        counts = array("q")
+        q = 0
+        singleton = True
+        violation = None
+        for t, batch in enumerate(self.batches, start=1):
+            try:
+                check_batch(batch, self.d)
+            except StreamFormatError as exc:
+                raise StreamFormatError(f"step {t}: {exc}", step=t) from None
+            if len(batch) > 1:
+                singleton = False
+            for item, delta in batch:
+                i = item - 1
+                old = sums[i]
+                new = old + delta
+                sums[i] = new
+                if (new > 0) != (old > 0):
+                    flips[i] += 1
+                    q += delta
+                if new not in (0, 1) and likes and violation is None:
+                    violation = (item, t)
+            counts.append(q)
+        self.counts = counts
+        self.flips = array("q", flips)
+        self.violation = violation
+        self.singleton = singleton
 
     @property
     def length(self) -> int:
@@ -78,9 +123,6 @@ class CounterState:
             raise StreamFormatError("initial counts length does not match d")
         else:
             self.q = sum(1 for v in self.c if v > 0)
-
-    def copy(self) -> "CounterState":
-        return CounterState(self.d, list(self.c), self.q, self.t)
 
 
 @dataclass
@@ -129,12 +171,7 @@ def distinct_count(state: CounterState) -> int:
 
 def distinct_counts(stream: Stream) -> list[int]:
     """Exact CountDistinct value after every batch."""
-    state = CounterState(stream.d)
-    out = []
-    for batch in stream.batches:
-        apply_batch(state, batch)
-        out.append(state.q)
-    return out
+    return stream.counts.tolist()
 
 
 def total_flippancy(stream: Stream) -> FlippancySummary:
@@ -143,71 +180,42 @@ def total_flippancy(stream: Stream) -> FlippancySummary:
     A flip at time t means the indicator 1(prefix_sum > 0) differs from its
     value at t-1.  The first insertion of an item therefore counts.
     """
-    report = validate(stream)
-    if not report.ok:
-        item, t = report.violation
-        raise ModelViolationError(
-            f"likes-model violation for item {item} at time {t}"
-        )
-    sums = [0] * stream.d
-    present = [False] * stream.d
-    flips = [0] * stream.d
-    for batch in stream.batches:
-        check_batch(batch, stream.d)
-        for item, delta in batch:
-            i = item - 1
-            sums[i] += delta
-            now = sums[i] > 0
-            if now != present[i]:
-                flips[i] += 1
-                present[i] = now
+    require_valid(stream)
+    flips = stream.flips
     return FlippancySummary(
         total_K=sum(flips),
-        max_w=max(flips) if flips else 0,
-        per_item=flips,
+        max_w=max(flips, default=0),
+        per_item=flips.tolist(),
     )
 
 
 def diff_sequence(stream: Stream) -> list[int]:
     """First differences of the distinct count, with CountDistinct^0 = 0."""
-    counts = distinct_counts(stream)
     prev = 0
     out = []
-    for q in counts:
+    for q in stream.counts:
         out.append(q - prev)
         prev = q
     return out
 
 
 def validate(stream: Stream) -> ValidationReport:
-    """Check model constraints; never raises for a well-formed stream.
+    """Report model constraints; never raises for a constructed stream.
 
     In the likes model the first (item, time) whose prefix sum leaves {0, 1}
     is reported.  General-model streams are always ok.  The singleton flag
     records whether every batch carries at most one update.
     """
-    sums = [0] * stream.d
-    singleton = True
-    violation = None
-    for t, batch in enumerate(stream.batches, start=1):
-        check_batch(batch, stream.d)
-        if len(batch) > 1:
-            singleton = False
-        for item, delta in batch:
-            sums[item - 1] += delta
-            if (
-                stream.model == LIKES
-                and violation is None
-                and sums[item - 1] not in (0, 1)
-            ):
-                violation = (item, t)
-    return ValidationReport(ok=violation is None, violation=violation, singleton=singleton)
+    return ValidationReport(
+        ok=stream.violation is None,
+        violation=stream.violation,
+        singleton=stream.singleton,
+    )
 
 
 def require_valid(stream: Stream) -> None:
-    report = validate(stream)
-    if not report.ok:
-        item, t = report.violation
+    if stream.violation is not None:
+        item, t = stream.violation
         raise ModelViolationError(
             f"likes-model violation for item {item} at time {t}"
         )
@@ -255,12 +263,11 @@ def loads(text: str) -> Stream:
             except ValueError:
                 raise StreamFormatError(f"bad token {token!r} on line {lineno}")
             batch.append((item, delta))
-        try:
-            check_batch(batch, d)
-        except StreamFormatError as exc:
-            raise StreamFormatError(f"line {lineno}: {exc}")
         batches.append(batch)
-    return Stream(d=d, T=T, model=model, batches=batches)
+    try:
+        return Stream(d=d, T=T, model=model, batches=batches)
+    except StreamFormatError as exc:  # the batch count was checked above
+        raise StreamFormatError(f"line {exc.step + 1}: {exc}") from None
 
 
 def write_file(stream: Stream, path) -> None:

@@ -1,15 +1,20 @@
-"""AboveThreshold as a reusable streaming state machine.
+"""The sparse-vector rule, and AboveThreshold as a streaming state machine.
 
-One noisy threshold tau ~ Lap(2/eps) is drawn per instance; each query draws
-fresh mu_t ~ Lap(4/eps).  The instance answers YES at most once: the first
-time q + mu_t strictly exceeds thresh + tau it reports YES and aborts, after
-which every step reports ABORTED without drawing noise.  The caller is
-responsible for only feeding queries of sensitivity at most 1.
+One noisy threshold tau ~ Lap(2/eps) is drawn per instance
+(``threshold_noise``); each query draws fresh mu ~ Lap(4/eps) and fires when
+value + mu strictly exceeds thresh + tau (``fires``).  The known-K mechanism
+applies the same two functions to its gap |out - q_t|.
+
+An ``AboveThreshold`` instance answers YES at most once: the first time the
+rule fires it reports YES and aborts, after which every step reports ABORTED
+without drawing noise.  The caller is responsible for only feeding queries
+of sensitivity at most 1.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 
 from .errors import ParameterError
 from .noise import RandomSource
@@ -21,14 +26,24 @@ class SvtAnswer(enum.Enum):
     ABORTED = "aborted"
 
 
+def threshold_noise(eps: float, src: RandomSource) -> float:
+    """Draw the per-instance threshold noise tau ~ Lap(2/eps)."""
+    return src.laplace(2.0 / eps)
+
+
+def fires(value: float, thresh: float, tau: float, eps: float, src: RandomSource) -> bool:
+    """Draw mu ~ Lap(4/eps); True when value + mu > thresh + tau."""
+    return value + src.laplace(4.0 / eps) > thresh + tau
+
+
 class AboveThreshold:
     def __init__(self, eps: float, thresh: float, src: RandomSource):
-        if eps <= 0:
-            raise ParameterError(f"epsilon must be positive, got {eps}")
+        if not (math.isfinite(eps) and eps > 0):
+            raise ParameterError(f"epsilon must be positive and finite, got {eps}")
         self.eps = eps
         self.thresh = thresh
         self._src = src
-        self.tau = src.laplace(2.0 / eps)
+        self.tau = threshold_noise(eps, src)
         self.aborted = False
         self.queries_answered = 0
 
@@ -36,16 +51,7 @@ class AboveThreshold:
         if self.aborted:
             return SvtAnswer.ABORTED
         self.queries_answered += 1
-        mu = self._src.laplace(4.0 / self.eps)
-        if q_value + mu > self.thresh + self.tau:
+        if fires(q_value, self.thresh, self.tau, self.eps, self._src):
             self.aborted = True
             return SvtAnswer.YES
         return SvtAnswer.NO
-
-
-def svt_new(eps: float, thresh: float, src: RandomSource) -> AboveThreshold:
-    return AboveThreshold(eps, thresh, src)
-
-
-def svt_step(state: AboveThreshold, q_value: float) -> SvtAnswer:
-    return state.step(q_value)

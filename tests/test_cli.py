@@ -118,6 +118,56 @@ class TestRun:
         rc = main(["run", "--input", path, "--mechanism", "laplace-T"])
         assert rc == 2
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["known-k", "--K", "8"],
+            ["unknown-k"],
+            ["unknown-k-all"],
+            ["laplace-T"],
+            ["gaussian-T", "--delta", "0.01"],
+            ["continual-likes"],
+        ],
+    )
+    def test_non_finite_epsilon_is_parameter_error(self, tmp_path, capsys, flags, eps):
+        path = write_stream(tmp_path)
+        rc = main(["run", "--input", path, "--eps", eps, "--mechanism", *flags])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "parameter error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("T", ["0", "3"])
+    def test_T_shorter_than_stream_is_parameter_error(self, tmp_path, capsys, T):
+        path = write_stream(tmp_path)  # 4 steps
+        rc = main(["run", "--input", path, "--mechanism", "laplace-T", "--T", T])
+        assert rc == 1
+        assert "parameter error" in capsys.readouterr().err
+
+    def test_T_at_least_the_stream_is_accepted(self, tmp_path):
+        path = write_stream(tmp_path)  # header T = 4
+        outs = {T: tmp_path / f"{T}.csv" for T in (None, "4", "8")}
+        base = ["run", "--input", path, "--mechanism", "laplace-T", "--seed", "3"]
+        for T, out in outs.items():
+            assert main(base + (["--T", T] if T else []) + ["-o", str(out)]) == 0
+        assert outs["4"].read_bytes() == outs[None].read_bytes()
+        assert outs["8"].read_bytes() != outs["4"].read_bytes()
+
+    def test_each_batch_is_checked_once(self, tmp_path, monkeypatch):
+        path = write_stream(tmp_path)  # 4 steps
+        calls = []
+        check_batch = streammod.check_batch
+
+        def counted(batch, d):
+            calls.append(batch)
+            return check_batch(batch, d)
+
+        monkeypatch.setattr(streammod, "check_batch", counted)
+        rc = main(["run", "--input", path, "--mechanism", "known-k", "--K", "8",
+                   "-o", str(tmp_path / "out.csv")])
+        assert rc == 0
+        assert len(calls) == 4
+
 
 class TestTrials:
     def test_summary_lines(self, tmp_path, capsys):

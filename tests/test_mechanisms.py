@@ -182,33 +182,25 @@ class TestKnownKMechanism:
                 continue
             assert isinstance(value, (int, float, bool)), name
 
-    def test_custom_query_oracle_matches_default(self):
-        s = random_stream(8, 32, target_K=20, seed=5)
-        a = run_known_k(PrivacyParams(1.0), 0.1, 32, 32, s, RandomSource(21))
-        b = run_known_k(
-            PrivacyParams(1.0),
-            0.1,
-            32,
-            32,
-            s,
-            RandomSource(21),
-            query=lambda st: float(st.q),
-        )
-        assert a.outputs == b.outputs
+    def test_batch_steps_match_count_driver(self):
+        # step() on the batches and run_known_k on the stored counts draw the
+        # same noise in the same order; K=800 refreshes 4 times, K=4 aborts
+        s = multiupdate_stream(200, 200, (2, 5, 9, 12), 16)
+        pp = PrivacyParams(50.0)
+        for K in (800, 4):
+            cfg = derive_known_k_config(pp, K, 16, 0.1)
+            mech = KnownKMechanism(cfg, CounterState(s.d), RandomSource(21))
+            outputs = [mech.out if mech.aborted else mech.step(b) for b in s.batches]
+            result = run_known_k(pp, 0.1, 16, K, s, RandomSource(21))
+            assert result.yes_events == mech.yes_events > 0
+            assert outputs == result.outputs
 
     def test_constant_query_never_fires_under_zero_noise(self):
-        s = random_stream(8, 32, target_K=20, seed=5)
-        result = run_known_k(
-            PrivacyParams(1.0),
-            0.1,
-            32,
-            32,
-            s,
-            RandomSource(0, "zero"),
-            query=lambda st: 0.0,
-        )
-        assert result.yes_events == 0
-        assert result.outputs == [0.0] * 32
+        cfg = derive_known_k_config(PrivacyParams(1.0), 32, 32, 0.1)
+        mech = KnownKMechanism(cfg, None, RandomSource(0, "zero"))
+        outputs = [mech.step_count(0) for _ in range(32)]
+        assert mech.yes_events == 0
+        assert outputs == [0.0] * 32
 
 
 class TestUnknownK:

@@ -240,6 +240,28 @@ class TestDstreamFormat:
         with pytest.raises(StreamFormatError):
             streammod.loads("dstream 1 2 1 likes\n1:+1\n2:+1\n")
 
+    @pytest.mark.parametrize("line", ["3:+1", "1:+2", "1:+1 1:-1"])
+    def test_errors_name_the_line(self, line):
+        with pytest.raises(StreamFormatError, match="^line 3: "):
+            streammod.loads(f"dstream 1 2 2 general\n1:+1\n{line}\n")
+
+
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "bad", [[(3, 1)], [(0, 1)], [(1, 2)], [(1, 0)], [(2, 1), (2, -1)]]
+    )
+    def test_bad_batch_names_the_step(self, bad):
+        with pytest.raises(StreamFormatError, match="^step 2: ") as info:
+            Stream(d=2, T=3, model="general", batches=[[(1, 1)], bad, []])
+        assert info.value.step == 2
+
+    def test_counts_and_flips_are_stored(self):
+        s = Stream(d=3, T=4, model="general",
+                   batches=[[(1, 1), (2, 1)], [(1, -1)], [(1, -1)], [(1, 1), (3, 1)]])
+        assert list(s.counts) == [2, 1, 1, 2]
+        assert list(s.flips) == [2, 1, 1]
+        assert s.violation is None and not s.singleton
+
 
 def test_flippancy_rejects_invalid_likes_stream():
     s = Stream(d=1, T=2, model="likes", batches=[[(1, 1)], [(1, 1)]])

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from dpdistinct import ParameterError, RandomSource, child_seed
-from dpdistinct.svt import AboveThreshold, SvtAnswer, svt_new, svt_step
+from dpdistinct.svt import AboveThreshold, SvtAnswer
 
 
 class TestZeroNoise:
@@ -46,13 +46,18 @@ class TestDrawAccounting:
     def test_determinism(self):
         answers = []
         for _ in range(2):
-            svt = svt_new(1.0, 5.0, RandomSource(77))
-            answers.append([svt_step(svt, q) for q in (1.0, 4.0, 5.5, 9.0)])
+            svt = AboveThreshold(1.0, 5.0, RandomSource(77))
+            answers.append([svt.step(q) for q in (1.0, 4.0, 5.5, 9.0)])
         assert answers[0] == answers[1]
 
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ParameterError):
             AboveThreshold(0.0, 1.0, RandomSource(0))
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ParameterError):
+            AboveThreshold(eps, 1.0, RandomSource(0))
 
 
 class TestAccuracy:
