@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .errors import ParameterError
 from .mechanisms import PrivacyParams, RunResult
 from .noise import RandomSource, child_seed
 from .stream import Stream, distinct_counts
@@ -67,7 +68,7 @@ def run_trials(
     are identical regardless of execution order or parallelism.
     """
     if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+        raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
     truth = distinct_counts(stream)
     max_errors = []
     for k in range(n_trials):
@@ -169,6 +170,10 @@ def privacy_probe(
     skipped, preventing ratio blowups.  The reported value is the largest
     absolute log-ratio after subtracting the delta allowance.
     """
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise ParameterError(f"bin width must be positive and finite, got {bin_width}")
+    if n_samples < 1:
+        raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
     step = None
     if projection is None:
         step = default_projection_step(x, y)
@@ -222,7 +227,7 @@ class BenchReport:
 def throughput_bench(run_fn: RunFn, stream: Stream, seed: int = 0, mode: str = "live") -> BenchReport:
     """Wall-clock one run and report the update rate and noise-draw counts."""
     src = RandomSource(seed, mode)
-    n_updates = sum(len(b) for b in stream.batches)
+    n_updates = int(stream.offsets[-1])
     start = time.perf_counter()
     run_fn(src, stream)
     elapsed = time.perf_counter() - start

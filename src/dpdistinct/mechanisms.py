@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from . import stream as streammod
 from .errors import ParameterError
 from .noise import RandomSource
@@ -425,11 +427,13 @@ def run_event_to_item(
     require_valid(stream)
     if stream.model != streammod.LIKES:
         raise ParameterError("the adapter requires a likes-model stream")
-    padded = Stream(
-        d=stream.d,
-        T=stream.T + 1,
-        model=stream.model,
-        batches=[[], *stream.batches],
+    padded = Stream.from_columns(
+        stream.d,
+        stream.T + 1,
+        stream.model,
+        np.concatenate(([0], stream.offsets)),
+        stream.items,
+        stream.deltas,
     )
     inner = inner_run(padded)
     return RunResult(

@@ -5,9 +5,10 @@ returns exactly 0 while the surrounding control flow (threshold comparisons,
 draw accounting) is exercised unchanged, which makes exactness tests of the
 mechanisms possible.
 
-Laplace draws use the inverse-CDF transform of a single uniform, so each draw
-is constant time.  ``laplace_calls`` counts every requested draw regardless of
-mode; ``laplace_draws`` counts only live (non-zero-mode) draws.
+Laplace draws use the inverse-CDF transform of a uniform in [0, 1), so each
+draw is constant time; a uniform of exactly 0, which the transform maps to
+infinity, is redrawn.  ``laplace_calls`` counts every requested draw
+regardless of mode; ``laplace_draws`` counts only live (non-zero-mode) draws.
 """
 
 from __future__ import annotations
@@ -51,7 +52,10 @@ class RandomSource:
         if b <= 0:
             raise ParameterError(f"Laplace scale must be positive, got {b}")
         self.laplace_draws += 1
-        u = self._rng.random() - 0.5
+        r = self._rng.random()
+        while r == 0.0:  # would be log(0); every other uniform is used as drawn
+            r = self._rng.random()
+        u = r - 0.5
         return -b * math.copysign(math.log(1.0 - 2.0 * abs(u)), u)
 
     def gaussian(self, sigma: float) -> float:
@@ -71,7 +75,12 @@ class RandomSource:
             return np.zeros(size)
         if b <= 0:
             raise ParameterError(f"Laplace scale must be positive, got {b}")
-        u = self._rng.random(size) - 0.5
+        r = self._rng.random(size)
+        zero = np.flatnonzero(r == 0.0)  # redrawn, as in ``laplace``
+        while len(zero):
+            r[zero] = self._rng.random(len(zero))
+            zero = zero[r[zero] == 0.0]
+        u = r - 0.5
         return -b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
     def gaussian_vector(self, sigma: float, size: int) -> np.ndarray:

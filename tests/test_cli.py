@@ -153,8 +153,9 @@ class TestRun:
         assert outs["4"].read_bytes() == outs[None].read_bytes()
         assert outs["8"].read_bytes() != outs["4"].read_bytes()
 
-    def test_each_batch_is_checked_once(self, tmp_path, monkeypatch):
-        path = write_stream(tmp_path)  # 4 steps
+    def test_each_batch_is_checked_once(self, tmp_path, monkeypatch, capsys):
+        # the constructor's vectorised pass validates every batch;
+        # check_batch runs only on the first bad batch, to phrase the error
         calls = []
         check_batch = streammod.check_batch
 
@@ -163,13 +164,26 @@ class TestRun:
             return check_batch(batch, d)
 
         monkeypatch.setattr(streammod, "check_batch", counted)
-        rc = main(["run", "--input", path, "--mechanism", "known-k", "--K", "8",
-                   "-o", str(tmp_path / "out.csv")])
-        assert rc == 0
-        assert len(calls) == 4
+        argv = ["run", "--mechanism", "known-k", "--K", "8", "-o", str(tmp_path / "out.csv")]
+        assert main([*argv, "--input", write_stream(tmp_path)]) == 0
+        assert calls == []
+        bad = write_stream(tmp_path, "bad.dstream",
+                           "dstream 1 4 4 general\n1:+1\n2:+1 3:+1 2:-1\n5:+1\n\n")
+        assert main([*argv, "--input", bad]) == 2
+        assert calls == [[(2, 1), (3, 1), (2, -1)]]
+        assert capsys.readouterr().err == (
+            "input error: line 3: step 2: item 2 appears twice in one batch\n"
+        )
 
 
 class TestTrials:
+    def test_zero_trials_is_parameter_error(self, tmp_path, capsys):
+        path = write_stream(tmp_path)
+        rc = main(["trials", "--input", path, "--mechanism", "laplace-T", "--trials", "0"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "parameter error" in err and "Traceback" not in err
+
     def test_summary_lines(self, tmp_path, capsys):
         path = write_stream(tmp_path)
         rc = main(
@@ -215,6 +229,20 @@ class TestProbe:
             next(l for l in out.splitlines() if l.startswith("eps_hat=")).split("=")[1]
         )
         assert eps_hat <= 0.1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--bin-width", "0"], ["--bin-width", "nan"], ["--bin-width", "inf"],
+         ["--samples", "0"], ["--samples", "-5"]],
+    )
+    def test_bad_probe_parameters_are_parameter_errors(self, tmp_path, capsys, flags):
+        path = write_stream(tmp_path)
+        rc = main(["probe", "--input", path, "--neighbor", path, "--mechanism",
+                   "laplace-T", "--samples", "10", *flags])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "parameter error" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestBench:

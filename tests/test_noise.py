@@ -64,6 +64,45 @@ class TestValidation:
             RandomSource(0).gaussian(-2.0)
 
 
+class _Uniforms:
+    """Generator stub that hands out a fixed sequence of uniforms."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = np.array(self.values[:size]), self.values[size:]
+        return out
+
+
+class TestZeroUniform:
+    """random() may return exactly 0.0, which the transform maps to log(0)."""
+
+    def test_scalar_redraws(self):
+        src = RandomSource(0)
+        src._rng = _Uniforms([0.0, 0.75, 0.25])
+        assert src.laplace(2.0) == pytest.approx(-2.0 * math.log(2))
+        assert src.laplace(2.0) == pytest.approx(2.0 * math.log(2))
+        assert src.laplace_draws == 2
+
+    def test_vector_redraws_only_the_zeros(self):
+        src = RandomSource(0)
+        src._rng = _Uniforms([0.25, 0.0, 0.75, 0.0, 0.0, 0.75])
+        x = src.laplace_vector(1.0, 3)
+        assert np.all(np.isfinite(x))
+        assert x == pytest.approx([-math.log(2), math.log(2), math.log(2)])
+
+    def test_other_draws_are_unchanged(self):
+        src = RandomSource(7)
+        u = np.random.default_rng(7).random(1000) - 0.5
+        scalar = [-math.copysign(math.log(1.0 - 2.0 * abs(v)), v) for v in u.tolist()]
+        assert [src.laplace(1.0) for _ in range(1000)] == scalar
+        vector = -np.sign(u) * np.log1p(-2.0 * np.abs(u))
+        assert np.array_equal(RandomSource(7).laplace_vector(1.0, 1000), vector)
+
+
 class TestDistribution:
     """Monte-Carlo moment and tail checks at fixed seeds."""
 

@@ -1,0 +1,297 @@
+"""Property tests: the columnar Stream against the per-batch reference.
+
+``reference_loads`` and ``reference_index`` are the per-token parse and the
+per-batch validation loop that the columnar constructor replaced.  For every
+input, the columnar code must build the same stream (batches, counts, flips,
+violation, singleton, and the ``.dstream`` text) or raise the same exception
+class with the same message.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dpdistinct import generators
+from dpdistinct import stream as streammod
+from dpdistinct.errors import ParameterError, StreamFormatError
+from dpdistinct.stream import Stream, check_batch
+
+SETTINGS = settings(
+    max_examples=400,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def reference_index(d, T, model, batches):
+    """The per-batch loop: (counts, flips, violation, singleton), or raise."""
+    if d < 1:
+        raise ParameterError(f"dimension d must be >= 1, got {d}")
+    if T < 0:
+        raise ParameterError(f"length bound T must be >= 0, got {T}")
+    if model not in ("general", "likes"):
+        raise ParameterError(f"unknown model {model!r}")
+    if len(batches) > T:
+        raise StreamFormatError(f"stream has {len(batches)} batches but declares T={T}")
+    sums = [0] * d
+    flips = [0] * d
+    counts = []
+    q = 0
+    singleton = True
+    violation = None
+    for t, batch in enumerate(batches, start=1):
+        try:
+            check_batch(batch, d)
+        except StreamFormatError as exc:
+            raise StreamFormatError(f"step {t}: {exc}", step=t) from None
+        if len(batch) > 1:
+            singleton = False
+        for item, delta in batch:
+            old = sums[item - 1]
+            new = old + delta
+            sums[item - 1] = new
+            if (new > 0) != (old > 0):
+                flips[item - 1] += 1
+                q += delta
+            if new not in (0, 1) and model == "likes" and violation is None:
+                violation = (item, t)
+        counts.append(q)
+    return counts, flips, violation, singleton
+
+
+def reference_loads(text):
+    """The per-token parse: (d, T, model, batches, index), or raise."""
+    lines = text.splitlines()
+    if not lines:
+        raise StreamFormatError("empty .dstream input")
+    header = lines[0].split()
+    if len(header) != 5 or header[0] != "dstream" or header[1] != "1":
+        raise StreamFormatError(f"bad .dstream header: {lines[0]!r}")
+    try:
+        d, T = int(header[2]), int(header[3])
+    except ValueError:
+        raise StreamFormatError(f"non-integer d/T in header: {lines[0]!r}")
+    model = header[4]
+    if model not in ("general", "likes"):
+        raise StreamFormatError(f"unknown model {model!r} in header")
+    data_lines = lines[1:]
+    if len(data_lines) > T:
+        raise StreamFormatError(f"{len(data_lines)} data lines exceed declared T={T}")
+    batches = []
+    for lineno, line in enumerate(data_lines, start=2):
+        batch = []
+        for token in line.split():
+            item_s, _, delta_s = token.partition(":")
+            try:
+                item, delta = int(item_s), int(delta_s)
+            except ValueError:
+                raise StreamFormatError(f"bad token {token!r} on line {lineno}")
+            batch.append((item, delta))
+        batches.append(batch)
+    try:
+        index = reference_index(d, T, model, batches)
+    except StreamFormatError as exc:
+        raise StreamFormatError(f"line {exc.step + 1}: {exc}") from None
+    return d, T, model, batches, index
+
+
+def reference_dumps(d, T, model, batches):
+    lines = [f"dstream 1 {d} {T} {model}"]
+    for batch in batches:
+        lines.append(" ".join(f"{item}:{delta:+d}" for item, delta in batch))
+    return "\n".join(lines) + "\n"
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as exc:  # compared by class and message
+        return None, (type(exc), str(exc))
+
+
+def assert_same_stream(s, d, T, model, batches, index):
+    counts, flips, violation, singleton = index
+    assert (s.d, s.T, s.model, s.length) == (d, T, model, len(batches))
+    assert s.batches == batches
+    assert list(s.counts) == counts
+    assert list(s.flips) == flips
+    assert s.violation == violation
+    assert s.singleton is singleton
+    text = streammod.dumps(s)
+    assert text == reference_dumps(d, T, model, batches)
+    assert streammod.loads(text).batches == batches
+
+
+# --- .dstream text --------------------------------------------------------
+
+ALPHABET = "0123456789:+- \t\r\nx"
+SIGN = st.sampled_from(["", "", "+", "-"])
+NUMBER = st.one_of(
+    st.integers(0, 9).map(str),
+    st.builds(lambda z, n: "0" * z + str(n), st.integers(0, 20), st.integers(0, 12)),
+    st.integers(10**17, 10**20).map(str),
+)
+WELL_FORMED = st.builds(lambda i, s: f"{i}:{s}1", st.integers(1, 6), st.sampled_from("+-"))
+NUMERIC = st.builds(lambda a, n, b, m: f"{a}{n}:{b}{m}", SIGN, NUMBER, SIGN, NUMBER)
+CLEAN = st.one_of(WELL_FORMED, WELL_FORMED, WELL_FORMED, NUMERIC)
+NOISY = st.one_of(WELL_FORMED, NUMERIC, st.text(ALPHABET, max_size=5))
+SEPARATOR = st.sampled_from([" ", " ", "\t", "  ", " \t"])
+BREAK = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+
+
+def edit(line, pos, char, op):
+    """One insert, replace or delete in a line, at pos (mod the line length)."""
+    pos %= len(line) + 1
+    if op == "insert":
+        return line[:pos] + char + line[pos:]
+    return line[:pos] + (char if op == "replace" else "") + line[pos + 1 :]
+
+
+def lines_of(tokens, unique=False):
+    return st.builds(
+        lambda lead, parts, tail: lead + "".join(t + s for t, s in parts) + tail,
+        st.sampled_from(["", "", " ", "\t"]),
+        st.lists(
+            st.tuples(tokens, SEPARATOR),
+            max_size=4,
+            unique_by=(lambda p: p[0].partition(":")[0]) if unique else None,
+        ),
+        st.sampled_from(["", "", " "]),
+    )
+
+
+@st.composite
+def dstream_texts(draw):
+    """Headers with d in {0, 1, 3, 6, 7} and T around the line count.
+
+    Data lines are empty (so that streams can be sparse) or made of
+    well-formed tokens on distinct items (valid but for likes-model
+    violations when d >= 6), of well-formed tokens mixed with numbers that
+    may be out of range, long or zero-padded, of well-formed tokens with one
+    character edited, or of any text over ALPHABET.
+    """
+    d = draw(st.sampled_from([0, 1, 3, 6, 6, 7, 7]))
+    model = draw(st.sampled_from(["general", "likes"]))
+    line = draw(st.sampled_from([
+        lines_of(WELL_FORMED, unique=True),
+        lines_of(CLEAN),
+        st.builds(edit, lines_of(WELL_FORMED), st.integers(0, 40),
+                  st.sampled_from(":+- \tx1"), st.sampled_from(["insert", "replace", "delete"])),
+        st.one_of(lines_of(NOISY), st.text(ALPHABET, max_size=8)),
+    ]))
+    lines = draw(st.lists(st.one_of(st.just(""), line), max_size=10))
+    body = "".join(draw(BREAK) + line for line in lines)
+    body += draw(st.sampled_from(["", "\n", "\r\n"]))
+    n_lines = len(("header" + body).splitlines()) - 1
+    T = max(0, n_lines + draw(st.sampled_from([0, 0, 1, 1, -1])))
+    return f"dstream 1 {d} {T} {model}" + body
+
+
+@SETTINGS
+@given(dstream_texts())
+def test_loads_matches_reference(text):
+    got, got_err = outcome(streammod.loads, text)
+    want, want_err = outcome(reference_loads, text)
+    assert got_err == want_err
+    if want is not None:
+        assert_same_stream(got, *want)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "dstream 1 5 4 general\n1:+1 2:-1\n\n0003:1\t+4:+01\n",
+        "dstream 1 5 4 likes\r\n1:+1\r\n1:+1\r\n",
+        "dstream 1 5 4 likes\n1:+1\n2:+1 2:-1\n9:+1\n",
+        "dstream 1 5 4 general\n1:+1 2:+2\nx\n",
+        "dstream 1 5 4 general\n1:+1:2\n",
+        "dstream 1 5 4 general\n1_0:+1\n",
+        "dstream 1 5 4 general\n١:+1 2:-1\n",
+        "dstream 1 5 4 general\n0000000000000000000001:+1\n",
+        "dstream 1 5 4 general\n99999999999999999999:+1\n",
+        "dstream 1 5 4 general\n1:+99999999999999999999\n",
+        "dstream 1 0 1 general\n1:+1\n",
+        "dstream 1 5 1 general\n\n\n",
+        "dstream 1 5 4 general\n1 2 :\n",
+        "dstream 1 5 4 general\n+ 1:1\n",
+        "dstream 1 5 4 general\n1:+1+2:+1\n",
+        "dstream 1 5 4 general\n1:+1 2:-+1\n",
+        "dstream 1 5 4 general\n1:1: 2:1\n",
+        "dstream 1 5 4 general\n1: 1\n",
+        "dstream 1 5 4 general\n12 1:1:1\n",
+        "dstream 1 5 4 general\n1::1 2\n",
+        "dstream 1 5 4 general\n++1:1\n",
+        "dstream 1 5 4 general\n1:-+1\n",
+        "dstream 1 3 5 general\n\n\n5:+1\n",
+    ],
+)
+def test_loads_edge_cases(text):
+    got, got_err = outcome(streammod.loads, text)
+    want, want_err = outcome(reference_loads, text)
+    assert got_err == want_err
+    if want is not None:
+        assert_same_stream(got, *want)
+
+
+# --- Stream(batches=...) --------------------------------------------------
+
+BATCH = st.lists(st.tuples(st.integers(-1, 8), st.sampled_from([1, 1, -1, -1, 0, 2])), max_size=4)
+BATCHES = st.lists(st.one_of(st.just([]), BATCH), max_size=10)
+
+
+@SETTINGS
+@given(st.integers(1, 7), st.sampled_from(["general", "likes"]), BATCHES)
+def test_batches_match_reference(d, model, batches):
+    got, got_err = outcome(Stream, d, len(batches), model, batches)
+    want, want_err = outcome(reference_index, d, len(batches), model, batches)
+    assert got_err == want_err
+    if want is not None:
+        assert_same_stream(got, d, len(batches), model, batches, want)
+
+
+@pytest.mark.parametrize("bad", [(1.5, 1), (1, 1.0), ("1", 1)])
+def test_non_integer_updates_are_rejected(bad):
+    with pytest.raises(TypeError):
+        Stream(2, 1, "general", [[bad]])
+
+
+@SETTINGS
+@given(
+    st.integers(1, 12),
+    st.integers(1, 40),
+    st.sampled_from(["general", "likes"]),
+    st.booleans(),
+    st.integers(0, 10**6),
+    st.data(),
+)
+def test_generated_streams_match_reference(d, T, model, singleton, seed, data):
+    target_K = data.draw(st.integers(0, T if singleton else d * T))
+    s = generators.random_stream(d, T, model, singleton, target_K, seed)
+    batches = s.batches
+    assert_same_stream(s, d, T, model, batches, reference_index(d, T, model, batches))
+    i_star = data.draw(st.integers(1, d))
+    column = data.draw(st.lists(st.sampled_from([-1, 0, 0, 1]), min_size=T, max_size=T))
+    y, err = outcome(generators.neighbor_item, s, i_star, column)
+    if y is not None:
+        ybatches = y.batches
+        assert_same_stream(y, d, T, model, ybatches, reference_index(d, T, model, ybatches))
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        generators.blocks_stream(6, 3, (1, 2, 4), 12),
+        generators.multiupdate_stream(5, 4, (2, 3, 7), 9),
+        generators.marginals_to_stream_singleton(
+            generators.MarginalsTable(3, 2, ((1, 0), (1, 1), (0, 1)))
+        ),
+        generators.marginals_to_stream_multi(
+            generators.MarginalsTable(3, 2, ((1, 0), (1, 1), (0, 1)))
+        ),
+    ],
+)
+def test_family_streams_match_reference(s):
+    batches = s.batches
+    assert_same_stream(s, s.d, s.T, s.model, batches, reference_index(s.d, s.T, s.model, batches))
