@@ -199,6 +199,42 @@ def random_stream(
     return Stream(d=d, T=T, model=model, batches=batches)
 
 
+def _replace_entries(
+    stream: Stream, drop: np.ndarray, steps: np.ndarray, item: int, deltas: np.ndarray
+) -> Stream:
+    """Copy of the stream without the entries flagged in ``drop`` and with
+    (item, delta) added at each 0-based step in ``steps``.
+
+    A batch that gains an entry is sorted by item, as ``list.sort`` sorts
+    its (item, delta) pairs; every other batch keeps its order.  The result
+    must still validate for the stream's declared model.
+    """
+    offsets, keep = stream.offsets, ~drop
+    sizes = offsets[1:] - offsets[:-1]
+    step = np.concatenate((np.arange(stream.length).repeat(sizes)[keep], steps))
+    items = np.concatenate((stream.items[keep], np.full(len(steps), item)))
+    order = slice(None)  # no batch gains an entry, so none is reordered
+    if len(steps):
+        gains = np.zeros(stream.length, dtype=bool)
+        gains[steps] = True
+        within = (np.arange(len(drop)) - offsets[:-1].repeat(sizes))[keep]
+        # inside a batch: by item where it gains an entry, else as it was
+        key = np.where(gains[step], items, np.concatenate((within, steps)))
+        order = np.lexsort((key, step))
+    new_offsets = np.zeros(stream.length + 1, dtype=np.int64)
+    np.cumsum(np.bincount(step, minlength=stream.length), out=new_offsets[1:])
+    out = Stream.from_columns(
+        stream.d,
+        stream.T,
+        stream.model,
+        new_offsets,
+        items[order],
+        np.concatenate((stream.deltas[keep], deltas))[order],
+    )
+    streammod.require_valid(out)
+    return out
+
+
 def neighbor_event(
     stream: Stream, t_star: int, i_star: int, new_value: int
 ) -> Stream:
@@ -212,15 +248,11 @@ def neighbor_event(
         raise ParameterError(f"i*={i_star} outside [1, {stream.d}]")
     if new_value not in (-1, 0, 1):
         raise ParameterError(f"new value must be in {{-1, 0, 1}}, got {new_value}")
-    batches = [list(b) for b in stream.batches]
-    batch = [(i, v) for i, v in batches[t_star - 1] if i != i_star]
-    if new_value != 0:
-        batch.append((i_star, new_value))
-        batch.sort()
-    batches[t_star - 1] = batch
-    out = Stream(d=stream.d, T=stream.T, model=stream.model, batches=batches)
-    streammod.require_valid(out)
-    return out
+    drop = np.zeros(len(stream.items), dtype=bool)
+    lo, hi = stream.offsets[t_star - 1], stream.offsets[t_star]
+    drop[lo:hi] = stream.items[lo:hi] == i_star
+    steps = np.array([t_star - 1] if new_value else [], dtype=np.int64)
+    return _replace_entries(stream, drop, steps, i_star, np.full(len(steps), new_value))
 
 
 def neighbor_item(
@@ -236,15 +268,10 @@ def neighbor_item(
         raise ParameterError(
             f"replacement column must have length {stream.length}"
         )
-    if any(v not in (-1, 0, 1) for v in replacement):
+    column = np.asarray(replacement)
+    if np.count_nonzero((column != -1) & (column != 0) & (column != 1)):
         raise ParameterError("replacement values must be in {-1, 0, 1}")
-    batches = []
-    for batch, v in zip(stream.batches, replacement):
-        nb = [(i, val) for i, val in batch if i != i_star]
-        if v != 0:
-            nb.append((i_star, v))
-            nb.sort()
-        batches.append(nb)
-    out = Stream(d=stream.d, T=stream.T, model=stream.model, batches=batches)
-    streammod.require_valid(out)
-    return out
+    steps = np.flatnonzero(column)
+    return _replace_entries(
+        stream, stream.items == i_star, steps, i_star, column[steps].astype(np.int64)
+    )

@@ -15,6 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .errors import ParameterError
 from .mechanisms import PrivacyParams, RunResult
 from .noise import RandomSource, child_seed
@@ -45,6 +47,14 @@ def evaluate(result: RunResult, stream: Stream, wall_time: float = 0.0) -> Trial
     )
 
 
+def _max_error(outputs: list[float], truth: np.ndarray) -> float:
+    """max |o - q| over the zipped outputs and counts (0.0 when empty)."""
+    n = min(len(outputs), len(truth))
+    if n == 0:
+        return 0.0
+    return float(np.abs(np.fromiter(outputs, np.float64, count=n) - truth[:n]).max())
+
+
 @dataclass
 class TrialsSummary:
     n_trials: int
@@ -69,17 +79,11 @@ def run_trials(
     """
     if n_trials < 1:
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
-    truth = distinct_counts(stream)
     max_errors = []
     for k in range(n_trials):
         src = RandomSource(child_seed(base_seed, k), mode)
         result = run_fn(src, stream)
-        max_errors.append(
-            max(
-                (abs(o - q) for o, q in zip(result.outputs, truth)),
-                default=0.0,
-            )
-        )
+        max_errors.append(_max_error(result.outputs, stream.count_array))
     ordered = sorted(max_errors)
     quantiles = {
         q: ordered[min(int(q * n_trials), n_trials - 1)] for q in (0.5, 0.9, 0.99)
@@ -146,10 +150,12 @@ class ProbeResult:
 
 
 def default_projection_step(x: Stream, y: Stream) -> int:
-    """Index of the step where the true counts of x and y differ the most."""
-    qx, qy = distinct_counts(x), distinct_counts(y)
-    diffs = [abs(a - b) for a, b in zip(qx, qy)]
-    return max(range(len(diffs)), key=diffs.__getitem__) if diffs else 0
+    """Index of the (first) step where the true counts of x and y differ the
+    most."""
+    n = min(x.length, y.length)
+    if n == 0:
+        return 0
+    return int(np.abs(x.count_array[:n] - y.count_array[:n]).argmax())
 
 
 def privacy_probe(

@@ -13,8 +13,17 @@ likes model, and the adapter that turns an event-level mechanism into an
 item-level one by prepending a zero step.
 
 The count sequence q_t does not depend on the noise, so every runner reads it
-from the validated ``Stream`` (``Stream.counts``) and no runner replays the
-batches; the known-K instances are fed q_t by one step driver.
+from the validated ``Stream`` (``Stream.count_array``) and no runner replays
+the batches.  One segment scanner (``_scan``) drives every known-K instance,
+frozen ones included.  Between refreshes the released value is constant, so
+it tests a whole window of steps at once: it reads the per-step noise mu_t
+for the window from a ``LaplaceTape``, finds the first step with
+|out - q_t| + mu_t > thresh + tau in one numpy pass, releases the constant
+value for the quiet steps before it, and refreshes there with the next two
+draws of the tape.  A step whose test lies within a tiny slack of the
+threshold is decided again with the scalar draw, so the scan releases, fires
+and aborts exactly where stepping ``KnownKMechanism.step_count`` would, and
+it leaves the source with the same draw counts and the same next draw.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import numpy as np
 
 from . import stream as streammod
 from .errors import ParameterError
-from .noise import RandomSource
+from .noise import UNIT_BOUND, LaplaceTape, RandomSource
 from .stream import Stream, UpdateBatch, apply_batch, diff_sequence, require_valid
 from .svt import fires, threshold_noise
 
@@ -122,6 +131,10 @@ class KnownKMechanism:
     ``freeze`` turns this into the variant that never updates its released
     value: the threshold test and abort bookkeeping run unchanged against the
     externally supplied frozen estimate.
+
+    The runners do not call ``step_count``: ``_scan`` tests many steps at
+    once and calls ``fired`` at each step where the rule fires, which leaves
+    the same state as stepping would.
     """
 
     def __init__(
@@ -155,28 +168,72 @@ class KnownKMechanism:
             raise MechanismAborted("step after abort")
         cfg = self.config
         if fires(abs(self.out - q), cfg.thresh, self.tau, cfg.eps1, self._src):
-            self.yes_events += 1
-            if self.count < cfg.S_K:
-                self.count += 1
-                self.tau = threshold_noise(cfg.eps1, self._src)
-                nu = self._src.laplace(1.0 / cfg.eps1)
-                if not self.freeze:
-                    self.out = q + nu
-                if self.count >= cfg.S_K:
-                    self.aborted = True
-            else:
-                # estimate budget exhausted (S_K = 1): abort without a refresh
-                self.aborted = True
+            self.fired(q, self._src)
         return self.out
 
+    def fired(self, q: int, noise) -> None:
+        """The rule fired at live count q: refresh with two draws from
+        ``noise`` (a ``RandomSource`` or a ``LaplaceTape``), or abort."""
+        cfg = self.config
+        self.yes_events += 1
+        if self.count < cfg.S_K:
+            self.count += 1
+            self.tau = threshold_noise(cfg.eps1, noise)
+            nu = noise.laplace(1.0 / cfg.eps1)
+            if not self.freeze:
+                self.out = q + nu
+            if self.count >= cfg.S_K:
+                self.aborted = True
+        else:
+            # estimate budget exhausted (S_K = 1): abort without a refresh
+            self.aborted = True
 
-def _drive(mech: KnownKMechanism, counts, t: int, outputs: list[float]) -> int:
-    """Feed q_t from ``counts[t:]`` to ``mech`` until it aborts or the counts
-    end; append each release to ``outputs`` and return the next step's index."""
-    n = len(counts)
-    while t < n and not mech.aborted:
-        outputs.append(mech.step_count(counts[t]))
-        t += 1
+
+_FIRST_WINDOW = 64  # steps; each quiet window doubles the next one
+
+
+def _scan(mech: KnownKMechanism, q: np.ndarray, t: int, outputs: list[float]) -> int:
+    """Run ``mech`` over the counts ``q[t:]`` until it aborts or the counts
+    end; append each release to ``outputs`` and return the next step's index.
+
+    The releases, ``mech``'s state and the source's draws end up exactly as
+    ``step_count`` called on each count would leave them.
+    """
+    cfg = mech.config
+    b = 4.0 / cfg.eps1  # the scale of mu in ``fires``
+    n = len(q)
+    qmax = int(q[t:].max()) if t < n else 0
+    w = _FIRST_WINDOW
+    with LaplaceTape(mech._src) as tape:
+        while t < n and not mech.aborted:
+            h = min(w, n - t)
+            out = mech.out
+            rhs = cfg.thresh + mech.tau
+            lhs = np.abs(out - q[t : t + h])
+            lhs += b * tape.ahead(h)
+            # np.log is within a few ulps of math.log; the slack, 2^-40 of a
+            # bound on every term, keeps each step that could fire
+            slack = 2.0**-40 * (abs(rhs) + abs(out) + qmax + b * UNIT_BOUND)
+            fire = next(
+                (
+                    i
+                    for i in np.flatnonzero(lhs > rhs - slack).tolist()
+                    if abs(out - q.item(t + i)) + tape.exact(i, b) > rhs
+                ),
+                None,
+            )
+            if fire is None:
+                outputs.extend([out] * h)
+                tape.take(h)
+                t += h
+                w *= 2
+                continue
+            outputs.extend([out] * fire)
+            tape.take(fire + 1)
+            t += fire + 1
+            mech.fired(q.item(t - 1), tape)
+            outputs.append(mech.out)
+            w = _FIRST_WINDOW
     return t
 
 
@@ -206,7 +263,7 @@ def run_known_k(
     config = derive_known_k_config(pp, K, T, beta)
     mech = KnownKMechanism(config, None, src)
     outputs: list[float] = []
-    t = _drive(mech, stream.counts, 0, outputs)
+    t = _scan(mech, stream.count_array, 0, outputs)
     outputs.extend([mech.out] * (stream.length - t))
     return RunResult(
         outputs=outputs,
@@ -230,7 +287,7 @@ def run_unknown_k(
     instance picks up at the live count where the previous one aborted;
     noise state does not carry over.
     """
-    counts = stream.counts
+    counts = stream.count_array
     outputs: list[float] = []
     indices: list[int] = []
     yes_total = 0
@@ -243,7 +300,7 @@ def run_unknown_k(
         config = derive_known_k_config(pp_j, 2**j, T, beta * scale)
         mech = KnownKMechanism(config, None, src)
         start = t
-        t = _drive(mech, counts, t, outputs)
+        t = _scan(mech, counts, t, outputs)
         indices.extend([j] * (t - start))
         yes_total += mech.yes_events
     return RunResult(
@@ -323,12 +380,18 @@ def run_unknown_k_all_bounds(
                 outputs.extend(_gaussian_release(pp, T, counts[t:], src))
             indices.extend([j] * (n - t))
             break
+        if pp.delta > 0 and eps_j >= 1:  # only j = 1 can reach this
+            raise ParameterError(
+                f"unknown-k-all with delta > 0 requires epsilon < pi^2/12 ~ 0.822:"
+                f" its first instance gets eps_1 = 12*eps/pi^2 = {eps_j:.6g},"
+                " and approximate DP requires eps_1 < 1"
+            )
         pp_j = PrivacyParams(eps_j, delta_j)
         config = derive_known_k_config(pp_j, K_j, T, beta_j)
         freeze = K_j < B_j
         mech = KnownKMechanism(config, None, src, freeze=freeze, frozen_out=out)
         start = t
-        t = _drive(mech, counts, t, outputs)
+        t = _scan(mech, stream.count_array, t, outputs)
         indices.extend([j] * (t - start))
         # boundary refresh: released value between instances
         out = counts[t - 1] + src.laplace(1.0 / eps_j)
@@ -364,8 +427,11 @@ class ContinualCountingMechanism:
     """Binary-tree noisy prefix sums over the distinct-count difference
     sequence; valid for event-level privacy in the likes model only.
 
-    Per dyadic node the noise is Lap(ceil(log2 T)/eps), drawn lazily on first
-    use and cached, so each step costs O(log T) work.
+    A difference value lies in one dyadic node per level, and the tree over
+    [1, T] has floor(log2 T) + 1 levels, so changing one value moves
+    T.bit_length() node sums by at most its own change.  Per node the noise
+    is therefore Lap(T.bit_length()/eps), drawn lazily on first use and
+    cached, so each step costs O(log T) work.
     """
 
     def __init__(self, eps: float, T: int, src: RandomSource):
@@ -376,7 +442,7 @@ class ContinualCountingMechanism:
         self.eps = eps
         self.T = T
         self._src = src
-        self._scale = max(math.ceil(math.log2(T)), 1) / eps
+        self._scale = T.bit_length() / eps
         self._cumsum = [0]  # cumulative diffs, index t
         self._node_noise: dict[tuple[int, int], float] = {}
 

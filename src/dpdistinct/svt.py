@@ -3,7 +3,8 @@
 One noisy threshold tau ~ Lap(2/eps) is drawn per instance
 (``threshold_noise``); each query draws fresh mu ~ Lap(4/eps) and fires when
 value + mu strictly exceeds thresh + tau (``fires``).  The known-K mechanism
-applies the same two functions to its gap |out - q_t|.
+applies the same two functions to its gap |out - q_t| (``step_count``), and
+its segment scanner applies the same rule to a window of steps at once.
 
 An ``AboveThreshold`` instance answers YES at most once: the first time the
 rule fires it reports YES and aborts, after which every step reports ABORTED

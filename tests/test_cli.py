@@ -153,6 +153,20 @@ class TestRun:
         assert outs["4"].read_bytes() == outs[None].read_bytes()
         assert outs["8"].read_bytes() != outs["4"].read_bytes()
 
+    def test_unknown_k_all_names_its_epsilon_limit(self, tmp_path, capsys):
+        # with delta > 0 the first instance gets eps_1 = 12 eps / pi^2, which
+        # reaches 1 at eps = pi^2/12 ~ 0.822, although eps < 1 is valid
+        path = str(tmp_path / "m.dstream")
+        argv = ["generate", "multiupdate", "--m", "200", "--I", "5,20", "--Tprime", "48"]
+        assert main([*argv, "-o", path]) == 0
+        run = ["run", "--input", path, "--mechanism", "unknown-k-all", "--delta", "0.001"]
+        capsys.readouterr()
+        assert main([*run, "--eps", "0.9"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parameter error: unknown-k-all with delta > 0 requires")
+        assert "epsilon < pi^2/12" in err and "eps_1 = 12*eps/pi^2 = 1.09" in err
+        assert main([*run, "--eps", "0.8", "-o", str(tmp_path / "out.csv")]) == 0
+
     def test_each_batch_is_checked_once(self, tmp_path, monkeypatch, capsys):
         # the constructor's vectorised pass validates every batch;
         # check_batch runs only on the first bad batch, to phrase the error

@@ -365,6 +365,23 @@ class TestContinualCounting:
         )
         assert len(outs_a) == 8
 
+    @pytest.mark.parametrize("T, levels", [(1, 1), (2, 2), (4, 3), (40, 6), (1024, 11)])
+    def test_scale_covers_every_node_of_a_step(self, T, levels):
+        # a difference value at step p enters every dyadic node over p that
+        # some prefix [1, t] uses; its change moves that many node sums, so
+        # the per-node scale must be that count over eps
+        covering = [set() for _ in range(T + 1)]
+        for t in range(1, T + 1):
+            hi = t
+            while hi > 0:
+                size = hi & -hi
+                for p in range(hi - size + 1, hi + 1):
+                    covering[p].add((size, hi))
+                hi -= size
+        assert max(map(len, covering)) == levels
+        mech = ContinualCountingMechanism(0.5, T, RandomSource(0))
+        assert mech._scale == levels / 0.5
+
     def test_noise_count_logarithmic(self):
         src = RandomSource(8)
         T = 256
