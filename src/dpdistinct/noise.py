@@ -176,8 +176,7 @@ class LaplaceTape:
 
     def take(self, k: int) -> None:
         self._taken += k
-        if self._live:
-            self._pos += k
+        self._pos += k
 
     def laplace(self, b: float) -> float:
         """One Lap(b) draw, as ``RandomSource.laplace`` would make it."""

@@ -1,10 +1,10 @@
 """Property tests: the segment scanner against the per-step mechanism.
 
-``step_driver`` is the loop the scanner replaced: it feeds each q_t to
+``step_loop`` is the loop the scanner replaced: it feeds each q_t to
 ``KnownKMechanism.step_count``.  For every input the scanner must release
 the same values, fire and abort at the same steps, count the same draws and
 leave the source at the same next draw.  The runner tests swap the scanner
-for ``step_driver`` to build the reference run, so unknown-K chains,
+for ``step_loop`` to build the reference run, so unknown-K chains,
 frozen all-bounds instances and fallbacks after an instance (where the
 scanner has to rewind the generator) are compared end to end.
 """
@@ -38,7 +38,7 @@ SETTINGS = settings(
 )
 
 
-def step_driver(mech, q, t, outputs):
+def step_loop(mech, q, t, outputs):
     """The per-step reference: one ``step_count`` call per count."""
     while t < len(q) and not mech.aborted:
         outputs.append(mech.step_count(int(q[t])))
@@ -85,18 +85,18 @@ def test_scan_matches_step_count(q, start, S_K, thresh, eps1, freeze, frozen_out
     mech_b = KnownKMechanism(cfg, None, src_b, freeze=freeze, frozen_out=frozen_out)
     outs_a, outs_b = [], []
     t_a = mechanisms._scan(mech_a, q, start, outs_a)
-    t_b = step_driver(mech_b, q, start, outs_b)
+    t_b = step_loop(mech_b, q, start, outs_b)
     assert (t_a, outs_a) == (t_b, outs_b)
     assert state(mech_a) == state(mech_b)
     assert source_after(src_a) == source_after(src_b)
 
 
 def assert_same_run(runner, args, seed, mode="live"):
-    """Run ``runner(*args, src)`` with the scanner and with ``step_driver``
+    """Run ``runner(*args, src)`` with the scanner and with ``step_loop``
     in its place; returns the scanner's result."""
     src_a, src_b = RandomSource(seed, mode), RandomSource(seed, mode)
     got = runner(*args, src_a)
-    with mock.patch.object(mechanisms, "_scan", step_driver):
+    with mock.patch.object(mechanisms, "_scan", step_loop):
         want = runner(*args, src_b)
     assert got == want  # outputs, yes_events, abort_step, instances, indices
     assert source_after(src_a) == source_after(src_b)
@@ -264,7 +264,7 @@ def test_threshold_decided_by_scalar_log(vector_above):
     )
     q = np.zeros(64, dtype=np.int64)
     runs = []
-    for drive in (mechanisms._scan, step_driver):
+    for drive in (mechanisms._scan, step_loop):
         src = RandomSource(0)
         src._rng = _StubGenerator(values)
         mech = KnownKMechanism(cfg, None, src)
@@ -284,7 +284,7 @@ def test_zero_uniform_is_dropped():
     values = [0.3, 0.6, 0.5, 0.0, 0.001, 0.0, 0.2, 0.7, 0.5, 0.0, 0.5] + [0.5] * 70
     q = np.array([0, 0, 3, 3, 3, 0, 0, 0], dtype=np.int64)
     runs = []
-    for drive in (mechanisms._scan, step_driver):
+    for drive in (mechanisms._scan, step_loop):
         src = RandomSource(0)
         src._rng = _StubGenerator(values)
         mech = KnownKMechanism(cfg, None, src)
