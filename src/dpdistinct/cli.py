@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
+from itertools import count
 
 from . import generators, harness, mechanisms, stream as streammod
 from .errors import ModelViolationError, ParameterError, StreamFormatError
@@ -123,21 +125,16 @@ def cmd_run(args) -> int:
     src = RandomSource(args.seed, args.noise)
     result = run_fn(src, s)
     report = harness.evaluate(result, s)
-    truth = distinct_counts(s)
-    lines = ["t,output,truth,abs_error"]
-    for t, (out, q) in enumerate(zip(result.outputs, truth), start=1):
-        lines.append(f"{t},{_fmt(out)},{q},{_fmt(abs(out - q))}")
-    lines.append(
-        f"# max_error={_fmt(report.max_error)}"
-        f" aborts={1 if result.abort_step is not None else 0}"
-        f" instances={result.instances}"
-    )
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # "%.12g" formats a float as _fmt does
+    rows = zip(count(1), result.outputs, distinct_counts(s), report.per_step_error)
+    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as fh:
+        fh.write("t,output,truth,abs_error\n")
+        fh.writelines(map("%d,%.12g,%d,%.12g\n".__mod__, rows))
+        fh.write(
+            f"# max_error={_fmt(report.max_error)}"
+            f" aborts={1 if result.abort_step is not None else 0}"
+            f" instances={result.instances}\n"
+        )
     return 0
 
 
@@ -170,6 +167,11 @@ def cmd_bounds(args) -> int:
 def cmd_probe(args) -> int:
     x, T = _load_stream(args.input, args)
     y, _ = _load_stream(args.neighbor, args)
+    for name, value, want in (("d", y.d, x.d), ("model", y.model, x.model)):
+        if value != want:
+            raise StreamFormatError(f"neighbor {name}={value} differs from the input's {want}")
+    if y.length > T:
+        raise StreamFormatError(f"neighbor length {y.length} exceeds T={T}")
     run_fn = _make_run_fn(args, T)
     result = harness.privacy_probe(
         run_fn,

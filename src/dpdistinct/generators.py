@@ -165,6 +165,8 @@ def random_stream(
     """
     if target_K < 0:
         raise ParameterError(f"target_K must be >= 0, got {target_K}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     limit = T if singleton else d * T
     if target_K > limit:
         raise ParameterError(

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ParameterError
 from .mechanisms import PrivacyParams, RunResult
 from .noise import RandomSource, child_seed
+# distinct_counts is unused here; it is kept for perfbench/traced.py, which wraps it
 from .stream import Stream, distinct_counts
 
 RunFn = Callable[[RandomSource, Stream], RunResult]
@@ -31,28 +32,23 @@ class TrialReport:
     max_error: float
     abort_step: int | None = None
     instance_count: int = 1
-    wall_time: float = 0.0
 
 
-def evaluate(result: RunResult, stream: Stream, wall_time: float = 0.0) -> TrialReport:
+def _abs_errors(outputs: list[float], stream: Stream) -> np.ndarray:
+    """|o - q_t| over the zipped outputs and counts, in one numpy pass."""
+    n = min(len(outputs), stream.length)
+    return np.abs(np.fromiter(outputs, np.float64, count=n) - stream.counts[:n])
+
+
+def evaluate(result: RunResult, stream: Stream) -> TrialReport:
     """Per-step absolute error of a run against the exact oracle."""
-    truth = distinct_counts(stream)
-    errors = [abs(o - q) for o, q in zip(result.outputs, truth)]
+    errors = _abs_errors(result.outputs, stream)
     return TrialReport(
-        per_step_error=errors,
-        max_error=max(errors) if errors else 0.0,
+        per_step_error=errors.tolist(),
+        max_error=float(errors.max(initial=0.0)),
         abort_step=result.abort_step,
         instance_count=result.instances,
-        wall_time=wall_time,
     )
-
-
-def _max_error(outputs: list[float], truth: np.ndarray) -> float:
-    """max |o - q| over the zipped outputs and counts (0.0 when empty)."""
-    n = min(len(outputs), len(truth))
-    if n == 0:
-        return 0.0
-    return float(np.abs(np.fromiter(outputs, np.float64, count=n) - truth[:n]).max())
 
 
 @dataclass
@@ -83,7 +79,7 @@ def run_trials(
     for k in range(n_trials):
         src = RandomSource(child_seed(base_seed, k), mode)
         result = run_fn(src, stream)
-        max_errors.append(_max_error(result.outputs, stream.count_array))
+        max_errors.append(float(_abs_errors(result.outputs, stream).max(initial=0.0)))
     ordered = sorted(max_errors)
     quantiles = {
         q: ordered[min(int(q * n_trials), n_trials - 1)] for q in (0.5, 0.9, 0.99)
@@ -119,6 +115,14 @@ def theoretical_bound(
     ``regime="unknown"`` applies the extra ln K factor on the flippancy
     branch plus the additive ln^2 K term paid by the doubling wrapper.
     """
+    if T < 1:
+        raise ParameterError(f"T must be >= 1, got {T}")
+    if K < 0:
+        raise ParameterError(f"K must be >= 0, got {K}")
+    if d < 1:
+        raise ParameterError(f"d must be >= 1, got {d}")
+    if not 0 < beta < 1:
+        raise ParameterError(f"beta must be in (0, 1), got {beta}")
     log_term = math.log(2 * T / beta)
     if K == 0:
         return BoundSpec(branches={"zero": 0.0}, minimum=0.0)
@@ -155,7 +159,7 @@ def default_projection_step(x: Stream, y: Stream) -> int:
     n = min(x.length, y.length)
     if n == 0:
         return 0
-    return int(np.abs(x.count_array[:n] - y.count_array[:n]).argmax())
+    return int(np.abs(x.counts[:n] - y.counts[:n]).argmax())
 
 
 def privacy_probe(

@@ -13,17 +13,17 @@ likes model, and the adapter that turns an event-level mechanism into an
 item-level one by prepending a zero step.
 
 The count sequence q_t does not depend on the noise, so every runner reads it
-from the validated ``Stream`` (``Stream.count_array``) and no runner replays
-the batches.  One segment scanner (``_scan``) drives every known-K instance,
-frozen ones included.  Between refreshes the released value is constant, so
-it tests a whole window of steps at once: it reads the per-step noise mu_t
-for the window from a ``LaplaceTape``, finds the first step with
-|out - q_t| + mu_t > thresh + tau in one numpy pass, releases the constant
-value for the quiet steps before it, and refreshes there with the next two
-draws of the tape.  A step whose test lies within a tiny slack of the
-threshold is decided again with the scalar draw, so the scan releases, fires
-and aborts exactly where stepping ``KnownKMechanism.step_count`` would, and
-it leaves the source with the same draw counts and the same next draw.
+from the validated ``Stream`` (``Stream.counts``, a read-only int64 array)
+and no runner replays the batches.  One segment scanner (``_scan``) drives
+every known-K instance, frozen ones included.  Between refreshes the released
+value is constant, so it tests a whole window of steps at once: it reads the
+per-step noise mu_t for the window from a ``LaplaceTape``, finds the first
+step with |out - q_t| + mu_t > thresh + tau in one numpy pass, releases the
+constant value for the quiet steps before it, and refreshes there with the
+next two draws of the tape.  A step whose test lies within a tiny slack of
+the threshold is decided again with the scalar draw, so the scan releases,
+fires and aborts exactly where stepping ``KnownKMechanism.step_count``
+would, and leaves the source with the same draw counts and next draw.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from . import stream as streammod
 from .errors import ParameterError
 from .noise import UNIT_BOUND, LaplaceTape, RandomSource
 from .stream import Stream, UpdateBatch, apply_batch, diff_sequence, require_valid
-from .svt import fires, threshold_noise
+from .svt import fires, mu_scale, threshold_noise
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def _scan(mech: KnownKMechanism, q: np.ndarray, t: int, outputs: list[float]) ->
     ``step_count`` called on each count would leave them.
     """
     cfg = mech.config
-    b = 4.0 / cfg.eps1  # the scale of mu in ``fires``
+    b = mu_scale(cfg.eps1)
     n = len(q)
     qmax = int(q[t:].max()) if t < n else 0
     w = _FIRST_WINDOW
@@ -263,7 +263,7 @@ def run_known_k(
     config = derive_known_k_config(pp, K, T, beta)
     mech = KnownKMechanism(config, None, src)
     outputs: list[float] = []
-    t = _scan(mech, stream.count_array, 0, outputs)
+    t = _scan(mech, stream.counts, 0, outputs)
     outputs.extend([mech.out] * (stream.length - t))
     return RunResult(
         outputs=outputs,
@@ -287,7 +287,7 @@ def run_unknown_k(
     instance picks up at the live count where the previous one aborted;
     noise state does not carry over.
     """
-    counts = stream.count_array
+    counts = stream.counts
     outputs: list[float] = []
     indices: list[int] = []
     yes_total = 0
@@ -320,13 +320,13 @@ def _err_T(pp: PrivacyParams, beta: float, T: int) -> float:
 
 def _laplace_release(pp: PrivacyParams, T: int, counts, src: RandomSource) -> list[float]:
     """q_t + Lap(T/eps) at every step: the stream-length sensitivity bound."""
-    return [q + src.laplace(T / pp.eps) for q in counts]
+    return [q + src.laplace(T / pp.eps) for q in counts.tolist()]
 
 
 def _gaussian_release(pp: PrivacyParams, T: int, counts, src: RandomSource) -> list[float]:
     """q_t + N(0, sigma^2) at every step, sigma from the sqrt(T) L2 bound."""
     sigma = math.sqrt(2 * math.log(2 / pp.delta)) * math.sqrt(T) / pp.eps
-    return [q + src.gaussian(sigma) for q in counts]
+    return [q + src.gaussian(sigma) for q in counts.tolist()]
 
 
 def run_unknown_k_all_bounds(
@@ -391,10 +391,10 @@ def run_unknown_k_all_bounds(
         freeze = K_j < B_j
         mech = KnownKMechanism(config, None, src, freeze=freeze, frozen_out=out)
         start = t
-        t = _scan(mech, stream.count_array, t, outputs)
+        t = _scan(mech, counts, t, outputs)
         indices.extend([j] * (t - start))
         # boundary refresh: released value between instances
-        out = counts[t - 1] + src.laplace(1.0 / eps_j)
+        out = counts.item(t - 1) + src.laplace(1.0 / eps_j)
     return RunResult(
         outputs=outputs,
         instances=j,

@@ -1,22 +1,23 @@
 """Seeded Laplace and Gaussian sampling with a deterministic zero mode.
 
-Every mechanism instance owns one RandomSource.  In ``zero`` mode every draw
-returns exactly 0 while the surrounding control flow (threshold comparisons,
-draw accounting) is exercised unchanged, which makes exactness tests of the
-mechanisms possible.
+Every mechanism instance owns one RandomSource, seeded with a non-negative
+integer.  In ``zero`` mode every draw returns exactly 0 while the surrounding
+control flow (threshold comparisons, draw accounting) is exercised unchanged,
+which makes exactness tests of the mechanisms possible.
 
 Laplace draws use the inverse-CDF transform of a uniform in [0, 1), so each
 draw is constant time; a uniform of exactly 0, which the transform maps to
 infinity, is redrawn.  ``laplace_calls`` counts every requested draw
 regardless of mode; ``laplace_draws`` counts only live (non-zero-mode) draws.
 
-A ``LaplaceTape`` reads the uniforms that a run of scalar ``laplace`` calls
-would use in blocks of ``Generator.random(n)``, which yields the same values
-as n scalar ``random()`` calls, so a mechanism can test a whole segment of
-steps in one numpy pass.  Closing the tape rewinds the generator to just
-after the last uniform taken (the saved bit-generator state, then
-``advance``), so the source keeps no buffer and its next draw, of either
-kind, is the one the scalar calls would have made.
+The source draws one value at a time.  A ``LaplaceTape`` reads the uniforms
+that a run of scalar ``laplace`` calls would use in blocks of
+``Generator.random(n)``, which yields the same values as n scalar
+``random()`` calls, and applies the same transform with ``np.log``, so a
+mechanism can test a whole segment of steps in one numpy pass.  Closing the
+tape rewinds the generator to just after the last uniform taken (the saved
+bit-generator state, then ``advance``), so the source keeps no buffer and its
+next draw, of either kind, is the one the scalar calls would have made.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ class RandomSource:
     def __init__(self, seed: int, mode: str = LIVE):
         if mode not in (LIVE, ZERO):
             raise ParameterError(f"unknown noise mode {mode!r}")
+        if seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {seed}")
         self.seed = seed
         self.mode = mode
         self._rng = np.random.default_rng(seed)
@@ -84,29 +87,6 @@ class RandomSource:
             raise ParameterError(f"Gaussian std must be positive, got {sigma}")
         self.gaussian_draws += 1
         return sigma * self._rng.standard_normal()
-
-    # Vectorized variants for Monte-Carlo tests; same transform as the
-    # scalar paths but not interchangeable draw-for-draw with them.
-    def laplace_vector(self, b: float, size: int) -> np.ndarray:
-        if self.mode == ZERO:
-            return np.zeros(size)
-        if b <= 0:
-            raise ParameterError(f"Laplace scale must be positive, got {b}")
-        r = self._rng.random(size)
-        zero = np.flatnonzero(r == 0.0)  # redrawn, as in ``laplace``
-        while len(zero):
-            r[zero] = self._rng.random(len(zero))
-            zero = zero[r[zero] == 0.0]
-        u = r - 0.5
-        return -b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
-
-    def gaussian_vector(self, sigma: float, size: int) -> np.ndarray:
-        if self.mode == ZERO:
-            return np.zeros(size)
-        if sigma <= 0:
-            raise ParameterError(f"Gaussian std must be positive, got {sigma}")
-        return sigma * self._rng.standard_normal(size)
-
 
 
 class LaplaceTape:

@@ -27,7 +27,6 @@ format, which ``loads`` parses straight into the arrays.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
@@ -52,12 +51,11 @@ class Stream:
     batches)`` converts a list of batches once; ``Stream.from_columns`` takes
     the arrays directly.  A malformed batch raises ``StreamFormatError``
     naming its step.  The constructor stores ``counts`` (q_t after each
-    step, an ``array('q')`` so that the step loops read Python ints) and
-    ``count_array`` (a read-only int64 numpy view of the same memory, for
-    the segment scans and the harness), ``flips`` (per item), ``violation`` (the (item, step) of the first
-    likes-model violation, or None) and ``singleton``.  The update arrays are
-    read-only, so these values always describe the stream; ``batches`` is
-    built from them on first read and must not be changed either.
+    step), ``flips`` (per item), ``violation`` (the (item, step) of the
+    first likes-model violation, or None) and ``singleton``.  ``counts``,
+    ``flips`` and the update arrays are read-only int64 arrays, so these
+    values always describe the stream; ``batches`` is built from them on
+    first read and must not be changed either.
     """
 
     def __init__(self, d: int, T: int, model: str, batches: list[UpdateBatch] = ()):
@@ -127,9 +125,8 @@ class Stream:
         dq[order] = gained
         q = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(dq, out=q[1:])
-        self.counts = array("q", q[offsets[1:]].tobytes())
-        self.count_array = np.frombuffer(self.counts, dtype=np.int64)
-        self.count_array.flags.writeable = False
+        self.counts = q[offsets[1:]]
+        self.counts.flags.writeable = False
         self.flips = np.bincount(item_s[gained != 0] - 1, minlength=self.d)
         self.flips.flags.writeable = False
         self.violation = None

@@ -4,7 +4,7 @@ One noisy threshold tau ~ Lap(2/eps) is drawn per instance
 (``threshold_noise``); each query draws fresh mu ~ Lap(4/eps) and fires when
 value + mu strictly exceeds thresh + tau (``fires``).  The known-K mechanism
 applies the same two functions to its gap |out - q_t| (``step_count``), and
-its segment scanner applies the same rule to a window of steps at once.
+its segment scanner the same rule, at ``mu_scale``, to a window of steps.
 
 An ``AboveThreshold`` instance answers YES at most once: the first time the
 rule fires it reports YES and aborts, after which every step reports ABORTED
@@ -32,9 +32,14 @@ def threshold_noise(eps: float, src: RandomSource) -> float:
     return src.laplace(2.0 / eps)
 
 
+def mu_scale(eps: float) -> float:
+    """The Laplace scale 4/eps of the per-query noise mu."""
+    return 4.0 / eps
+
+
 def fires(value: float, thresh: float, tau: float, eps: float, src: RandomSource) -> bool:
     """Draw mu ~ Lap(4/eps); True when value + mu > thresh + tau."""
-    return value + src.laplace(4.0 / eps) > thresh + tau
+    return value + src.laplace(mu_scale(eps)) > thresh + tau
 
 
 class AboveThreshold:

@@ -58,6 +58,21 @@ class TestGenerate:
         assert rc == 1
 
 
+@pytest.mark.parametrize("command", ["run", "bench", "generate"])
+def test_negative_seed_is_parameter_error(tmp_path, capsys, command):
+    path = write_stream(tmp_path)
+    argv = {
+        "run": ["run", "--input", path, "--mechanism", "laplace-T"],
+        "bench": ["bench", "--input", path, "--mechanism", "laplace-T"],
+        "generate": ["generate", "random", "--d", "8", "--T", "32", "--K", "20",
+                     "-o", str(tmp_path / "r.dstream")],
+    }[command]
+    rc = main([*argv, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "parameter error: seed must be >= 0, got -1\n"
+
+
 class TestRun:
     def test_zero_noise_csv_is_exact(self, tmp_path, capsys):
         path = write_stream(tmp_path)
@@ -228,6 +243,27 @@ class TestBounds:
         assert float(out["branch_err_T"]) == pytest.approx(64.0)
         assert float(out["min"]) == pytest.approx(math.sqrt(288))
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--beta", "0", "beta must be in (0, 1), got 0.0"),
+            ("--beta", "nan", "beta must be in (0, 1), got nan"),
+            ("--beta", "2", "beta must be in (0, 1), got 2.0"),
+            ("--T", "0", "T must be >= 1, got 0"),
+            ("--T", "-5", "T must be >= 1, got -5"),
+            ("--K", "-3", "K must be >= 0, got -3"),
+            ("--d", "0", "d must be >= 1, got 0"),
+        ],
+    )
+    def test_out_of_range_is_parameter_error(self, capsys, flag, value, message):
+        flags = {"--eps": "1", "--beta": "0.1", "--T": "16", "--K": "8", "--d": "100"}
+        flags[flag] = value
+        rc = main(["bounds", *(x for item in flags.items() for x in item)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"parameter error: {message}\n"
+        assert captured.out == ""
+
 
 class TestProbe:
     def test_self_probe_small(self, tmp_path, capsys):
@@ -257,6 +293,34 @@ class TestProbe:
         assert rc == 1
         assert "parameter error" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("dstream 1 2 16 likes\n" + "1:+1\n1:-1\n" * 8, "neighbor length 16 exceeds T=8"),
+            ("dstream 1 3 8 likes\n1:+1\n", "neighbor d=3 differs from the input's 2"),
+            ("dstream 1 2 8 general\n1:+1\n",
+             "neighbor model=general differs from the input's likes"),
+        ],
+        ids=["length", "d", "model"],
+    )
+    def test_mismatched_neighbor_is_input_error(self, tmp_path, capsys, text, field):
+        path = write_stream(tmp_path, text="dstream 1 2 8 likes\n" + "1:+1\n1:-1\n" * 4)
+        neighbor = write_stream(tmp_path, "y.dstream", text)
+        rc = main(["probe", "--input", path, "--neighbor", neighbor, "--mechanism",
+                   "laplace-T", "--samples", "10"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"input error: {field}\n"
+        assert captured.out == ""
+
+    def test_shorter_neighbor_is_accepted(self, tmp_path, capsys):
+        path = write_stream(tmp_path, text="dstream 1 2 8 likes\n" + "1:+1\n1:-1\n" * 4)
+        neighbor = write_stream(tmp_path, "y.dstream", "dstream 1 2 8 likes\n1:+1\n")
+        rc = main(["probe", "--input", path, "--neighbor", neighbor, "--mechanism",
+                   "laplace-T", "--samples", "10"])
+        assert rc == 0
+        assert "status=" in capsys.readouterr().out
 
 
 class TestBench:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from dpdistinct import RandomSource, Stream
+from dpdistinct import RandomSource, Stream, child_seed
 from dpdistinct.generators import random_stream
 from dpdistinct.harness import (
     default_projection_step,
@@ -17,8 +17,13 @@ from dpdistinct.harness import (
 from dpdistinct.mechanisms import (
     PrivacyParams,
     RunResult,
+    run_continual_likes,
+    run_gaussian_baseline,
     run_known_k,
     run_laplace_baseline,
+    run_unknown_k,
+    run_unknown_k_all_bounds,
+    run_zero,
 )
 from dpdistinct.stream import distinct_counts
 
@@ -36,6 +41,29 @@ class TestEvaluate:
         report = evaluate(RunResult(outputs=[0.0, 3.5]), s)
         assert report.per_step_error == [1.0, 1.5]
         assert report.max_error == 1.5
+
+
+PURE, APPROX = PrivacyParams(1.0), PrivacyParams(0.5, 0.01)
+EVERY_MECHANISM = {
+    "known-k": lambda src, s: run_known_k(PURE, 0.1, s.T, 64, s, src),
+    "unknown-k": lambda src, s: run_unknown_k(PURE, 0.1, s.T, s, src),
+    "unknown-k-all": lambda src, s: run_unknown_k_all_bounds(PURE, 0.1, s.T, s, src),
+    "zero": lambda src, s: run_zero(s),
+    "laplace-T": lambda src, s: run_laplace_baseline(PURE, s.T, s, src),
+    "gaussian-T": lambda src, s: run_gaussian_baseline(APPROX, s.T, s, src),
+    "continual-likes": lambda src, s: run_continual_likes(1.0, s.T, s, src),
+}
+
+
+@pytest.mark.parametrize("name", EVERY_MECHANISM)
+def test_evaluate_and_run_trials_agree(name):
+    run_fn = EVERY_MECHANISM[name]
+    s = random_stream(16, 120, model="likes", target_K=400, seed=4)
+    summary = run_trials(run_fn, s, 4, base_seed=9)
+    for k, max_error in enumerate(summary.max_errors):
+        report = evaluate(run_fn(RandomSource(child_seed(9, k)), s), s)
+        assert report.max_error == max_error
+        assert report.max_error == max(report.per_step_error)
 
 
 class TestRunTrials:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dpdistinct import ParameterError, RandomSource, child_seed
+from dpdistinct.noise import LaplaceTape
 
 
 class TestDeterminism:
@@ -63,6 +64,10 @@ class TestValidation:
         with pytest.raises(ParameterError):
             RandomSource(0).gaussian(-2.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            RandomSource(-1)
+
 
 class _Uniforms:
     """Generator stub that hands out a fixed sequence of uniforms."""
@@ -87,28 +92,34 @@ class TestZeroUniform:
         assert src.laplace(2.0) == pytest.approx(2.0 * math.log(2))
         assert src.laplace_draws == 2
 
-    def test_vector_redraws_only_the_zeros(self):
-        src = RandomSource(0)
-        src._rng = _Uniforms([0.25, 0.0, 0.75, 0.0, 0.0, 0.75])
-        x = src.laplace_vector(1.0, 3)
-        assert np.all(np.isfinite(x))
-        assert x == pytest.approx([-math.log(2), math.log(2), math.log(2)])
-
     def test_other_draws_are_unchanged(self):
         src = RandomSource(7)
         u = np.random.default_rng(7).random(1000) - 0.5
         scalar = [-math.copysign(math.log(1.0 - 2.0 * abs(v)), v) for v in u.tolist()]
         assert [src.laplace(1.0) for _ in range(1000)] == scalar
-        vector = -np.sign(u) * np.log1p(-2.0 * np.abs(u))
-        assert np.array_equal(RandomSource(7).laplace_vector(1.0, 1000), vector)
+        with LaplaceTape(RandomSource(7)) as tape:
+            tape.ahead(1000)
+            assert [tape.exact(i, 1.0) for i in range(1000)] == scalar
+
+
+def laplace_draws(seed: int, b: float, n: int) -> np.ndarray:
+    """n Lap(b) draws read ahead through a tape, as the segment scanner does."""
+    with LaplaceTape(RandomSource(seed)) as tape:
+        return b * tape.ahead(n)
+
+
+def gaussian_draws(seed: int, sigma: float, n: int) -> np.ndarray:
+    src = RandomSource(seed)
+    return np.array([src.gaussian(sigma) for _ in range(n)])
 
 
 class TestDistribution:
-    """Monte-Carlo moment and tail checks at fixed seeds."""
+    """Monte-Carlo moment and tail checks at fixed seeds, on the samplers the
+    mechanisms use."""
 
     def test_laplace_moments(self):
         b = 2.5
-        x = RandomSource(100).laplace_vector(b, 10**6)
+        x = laplace_draws(100, b, 10**6)
         assert abs(x.mean()) < 0.02
         # Var[Lap(b)] = 2 b^2
         assert abs(x.var() / (2 * b * b) - 1) < 0.01
@@ -116,21 +127,21 @@ class TestDistribution:
     def test_laplace_tail(self):
         # P(|X| > b * ln(1/beta)) = beta
         b = 1.0
-        x = RandomSource(101).laplace_vector(b, 10**6)
+        x = laplace_draws(101, b, 10**6)
         for beta in (0.5, 0.1, 0.01):
             frac = np.mean(np.abs(x) > b * math.log(1 / beta))
             assert abs(frac - beta) < 0.005
 
     def test_gaussian_moments(self):
         sigma = 3.0
-        x = RandomSource(102).gaussian_vector(sigma, 10**6)
+        x = gaussian_draws(102, sigma, 10**6)
         assert abs(x.mean()) < 0.02
         assert abs(x.var() / sigma**2 - 1) < 0.01
 
     def test_gaussian_tail(self):
         # P(|X| >= sigma * sqrt(2 ln(2/beta))) <= beta
         sigma = 1.0
-        x = RandomSource(103).gaussian_vector(sigma, 10**6)
+        x = gaussian_draws(103, sigma, 10**6)
         for beta in (0.5, 0.1, 0.01):
             frac = np.mean(np.abs(x) >= sigma * math.sqrt(2 * math.log(2 / beta)))
             assert frac <= beta

@@ -262,6 +262,12 @@ class TestConstruction:
         assert list(s.flips) == [2, 1, 1]
         assert s.violation is None and not s.singleton
 
+    def test_counts_are_one_read_only_int64_array(self):
+        s = Stream(d=2, T=3, model="likes", batches=[[(1, 1)], [(2, 1)], []])
+        assert s.counts.dtype == np.int64 and s.counts.tolist() == [1, 2, 2]
+        with pytest.raises(ValueError):
+            s.counts[0] = 5
+
 
 def test_flippancy_rejects_invalid_likes_stream():
     s = Stream(d=1, T=2, model="likes", batches=[[(1, 1)], [(1, 1)]])
