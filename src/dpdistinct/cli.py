@@ -81,16 +81,23 @@ def _load_stream(path: str, args) -> tuple[Stream, int]:
     return s, args.T
 
 
+def _int_list(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ParameterError(f"{flag} must be comma-separated integers, got {text!r}") from None
+
+
 def cmd_generate(args) -> int:
     if args.family == "blocks":
         if args.m is None or args.J is None or args.Tprime is None:
             raise ParameterError("blocks requires --m, --J, --Tprime")
-        J = tuple(int(v) for v in args.J.split(","))
+        J = _int_list(args.J, "--J")
         s = generators.blocks_stream(args.d or args.m, args.m, J, args.Tprime)
     elif args.family == "multiupdate":
         if args.m is None or args.I is None or args.Tprime is None:
             raise ParameterError("multiupdate requires --m, --I, --Tprime")
-        I = tuple(int(v) for v in args.I.split(","))
+        I = _int_list(args.I, "--I")
         s = generators.multiupdate_stream(args.d or args.m, args.m, I, args.Tprime)
     elif args.family == "marginals":
         if args.file is None:
@@ -172,6 +179,8 @@ def cmd_probe(args) -> int:
             raise StreamFormatError(f"neighbor {name}={value} differs from the input's {want}")
     if y.length > T:
         raise StreamFormatError(f"neighbor length {y.length} exceeds T={T}")
+    if min(x.length, y.length) == 0:
+        raise StreamFormatError("probe needs at least one step in the input and the neighbor")
     run_fn = _make_run_fn(args, T)
     result = harness.privacy_probe(
         run_fn,
@@ -272,7 +281,8 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 1
-    except (StreamFormatError, ModelViolationError, FileNotFoundError) as exc:
+    # OSError: a path that is missing, a directory or unreadable
+    except (StreamFormatError, ModelViolationError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

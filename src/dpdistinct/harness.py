@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,8 +30,6 @@ RunFn = Callable[[RandomSource, Stream], RunResult]
 class TrialReport:
     per_step_error: list[float]
     max_error: float
-    abort_step: int | None = None
-    instance_count: int = 1
 
 
 def _abs_errors(outputs: list[float], stream: Stream) -> np.ndarray:
@@ -46,8 +44,6 @@ def evaluate(result: RunResult, stream: Stream) -> TrialReport:
     return TrialReport(
         per_step_error=errors.tolist(),
         max_error=float(errors.max(initial=0.0)),
-        abort_step=result.abort_step,
-        instance_count=result.instances,
     )
 
 
@@ -131,7 +127,12 @@ def theoretical_bound(
         flip = math.sqrt(K * log_term / pp.eps)
         err_T = T * log_term / pp.eps
     else:
-        flip = (K * math.log(1 / pp.delta) * log_term**2 / pp.eps**2) ** (1 / 3)
+        # eps**2 underflows to 0 for eps < 1e-161, where the branch is past every float
+        flip = (
+            (K * math.log(1 / pp.delta) * log_term**2 / pp.eps**2) ** (1 / 3)
+            if pp.eps**2
+            else math.inf
+        )
         err_T = math.sqrt(T * math.log(1 / pp.delta) * log_term) / pp.eps
     branches = {"d": float(d), "K": float(K), "flippancy": flip, "err_T": err_T}
     additive = 0.0
@@ -150,7 +151,7 @@ class ProbeResult:
     n_samples: int
     n_bins: int
     eligible_bins: int
-    projection_step: int = field(default=0)
+    projection_step: int
 
 
 def default_projection_step(x: Stream, y: Stream) -> int:
@@ -166,7 +167,6 @@ def privacy_probe(
     run_fn: RunFn,
     x: Stream,
     y: Stream,
-    projection: Callable[[list[float]], float] | None = None,
     bin_width: float = 1.0,
     n_samples: int = 10**6,
     base_seed: int = 0,
@@ -175,28 +175,34 @@ def privacy_probe(
 ) -> ProbeResult:
     """Histogram-based lower-bound witness for the privacy loss.
 
-    Projected outputs under x and y are binned; counts are Laplace-smoothed
-    by +1 and bins whose smaller smoothed mass is below ``floor`` are
-    skipped, preventing ratio blowups.  The reported value is the largest
+    The outputs at ``default_projection_step`` under x and y are binned;
+    counts are Laplace-smoothed by +1 and bins whose smaller smoothed mass is
+    below ``floor`` are skipped, preventing ratio blowups.  The reported value is the largest
     absolute log-ratio after subtracting the delta allowance.
     """
     if not (math.isfinite(bin_width) and bin_width > 0):
         raise ParameterError(f"bin width must be positive and finite, got {bin_width}")
     if n_samples < 1:
         raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
-    step = None
-    if projection is None:
-        step = default_projection_step(x, y)
-        idx = step
-        projection = lambda outs: outs[idx]
+    step = default_projection_step(x, y)
+
+    def bin_of(result: RunResult) -> int:
+        v = result.outputs[step] / bin_width
+        if not math.isfinite(v):
+            raise ParameterError(
+                f"release {result.outputs[step]} at step {step} over bin width"
+                f" {bin_width} is not finite"
+            )
+        return math.floor(v)
+
     hist_x: Counter = Counter()
     hist_y: Counter = Counter()
     src_x = RandomSource(child_seed(base_seed, 0))
     src_y = RandomSource(child_seed(base_seed, 1))
     for _ in range(n_samples):
-        hist_x[math.floor(projection(run_fn(src_x, x).outputs) / bin_width)] += 1
+        hist_x[bin_of(run_fn(src_x, x))] += 1
     for _ in range(n_samples):
-        hist_y[math.floor(projection(run_fn(src_y, y).outputs) / bin_width)] += 1
+        hist_y[bin_of(run_fn(src_y, y))] += 1
     bins = set(hist_x) | set(hist_y)
     denom = n_samples + len(bins)
     eps_hat = None
@@ -220,7 +226,7 @@ def privacy_probe(
         n_samples=n_samples,
         n_bins=len(bins),
         eligible_bins=eligible,
-        projection_step=step if step is not None else -1,
+        projection_step=step,
     )
 
 

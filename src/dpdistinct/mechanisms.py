@@ -8,9 +8,9 @@ the privacy cost is paid only for refreshes, not for quiet steps.
 
 Also provided: the doubling wrapper for unknown K, the variant that falls back
 to trivial/additive-noise baselines when those dominate, per-step Laplace and
-Gaussian baselines, a binary-tree counter on the difference sequence for the
-likes model, and the adapter that turns an event-level mechanism into an
-item-level one by prepending a zero step.
+Gaussian baselines, a binary-tree counter for the likes model (one node draw
+per step, every prefix sum in one numpy pass), and the adapter that turns an
+event-level mechanism into an item-level one by prepending a zero step.
 
 The count sequence q_t does not depend on the noise, so every runner reads it
 from the validated ``Stream`` (``Stream.counts``, a read-only int64 array)
@@ -29,7 +29,7 @@ would, and leaves the source with the same draw counts and next draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -37,7 +37,7 @@ import numpy as np
 from . import stream as streammod
 from .errors import ParameterError
 from .noise import UNIT_BOUND, LaplaceTape, RandomSource
-from .stream import Stream, UpdateBatch, apply_batch, diff_sequence, require_valid
+from .stream import Stream, UpdateBatch, apply_batch, require_valid
 from .svt import fires, mu_scale, threshold_noise
 
 
@@ -69,6 +69,19 @@ class KnownKConfig:
     thresh: float
 
 
+def _check_T_beta(T: int, beta: float) -> None:
+    if T < 1:
+        raise ParameterError(f"T must be >= 1, got {T}")
+    if not 0 < beta < 1:
+        raise ParameterError(f"beta must be in (0, 1), got {beta}")
+
+
+def _finite(x: float, what: str) -> float:
+    if not math.isfinite(x):
+        raise ParameterError(f"{what} is not finite for these K, epsilon, delta and beta")
+    return x
+
+
 def derive_known_k_config(
     pp: PrivacyParams, K: int, T: int, beta: float
 ) -> KnownKConfig:
@@ -82,31 +95,19 @@ def derive_known_k_config(
     """
     if K < 1:
         raise ParameterError(f"K must be >= 1, got {K}")
-    if T < 1:
-        raise ParameterError(f"T must be >= 1, got {T}")
-    if not 0 < beta < 1:
-        raise ParameterError(f"beta must be in (0, 1), got {beta}")
+    _check_T_beta(T, beta)
     log_term = math.log(2 * T / beta)
     if pp.delta == 0:
-        S_K = math.floor(math.sqrt(K * pp.eps / (18 * log_term))) + 1
+        S_K = math.floor(_finite(math.sqrt(K * pp.eps / (18 * log_term)), "S_K")) + 1
         eps1 = pp.eps / (2 * S_K)
     else:
-        raw = (K * pp.eps / (36 * math.sqrt(math.log(1 / pp.delta)) * log_term)) ** (
-            2 / 3
-        )
-        S_K = math.ceil(raw) + 1
-        eps1 = pp.eps / (4 * math.sqrt(2 * S_K * math.log(1 / pp.delta)))
-    thresh = 16 * log_term / eps1
-    return KnownKConfig(
-        eps=pp.eps,
-        delta=pp.delta,
-        K=K,
-        T=T,
-        beta=beta,
-        S_K=S_K,
-        eps1=eps1,
-        thresh=thresh,
-    )
+        log_delta = math.log(1 / pp.delta)
+        raw = (K * pp.eps / (36 * math.sqrt(log_delta) * log_term)) ** (2 / 3)
+        S_K = math.ceil(_finite(raw, "S_K")) + 1
+        eps1 = pp.eps / (4 * math.sqrt(2 * S_K * log_delta))
+    # eps1 underflows to 0 for a tiny epsilon, or a huge ln(1/delta)
+    thresh = _finite(16 * log_term / eps1 if eps1 else math.inf, "the threshold")
+    return KnownKConfig(pp.eps, pp.delta, K, T, beta, S_K, eps1, thresh)
 
 
 class MechanismAborted(RuntimeError):
@@ -268,7 +269,6 @@ def run_known_k(
     return RunResult(
         outputs=outputs,
         yes_events=mech.yes_events,
-        instances=1,
         abort_step=t if mech.aborted else None,
     )
 
@@ -307,7 +307,6 @@ def run_unknown_k(
         outputs=outputs,
         yes_events=yes_total,
         instances=j,
-        abort_step=None,
         instance_indices=indices,
     )
 
@@ -345,6 +344,7 @@ def run_unknown_k_all_bounds(
     K_j is below B_j run in frozen mode: the released value stays at the
     latest boundary refresh for the whole instance.
     """
+    _check_T_beta(T, beta)
     d = stream.d
     counts = stream.counts
     n = len(counts)
@@ -354,6 +354,7 @@ def run_unknown_k_all_bounds(
     out = 0.0  # pre-boundary frozen value; data-independent
     t = 0
     j = 0
+    yes_total = 0
     fallback = None
     while t < n:
         j += 1
@@ -364,6 +365,8 @@ def run_unknown_k_all_bounds(
         log_term_j = math.log(T / beta_j)
         if pp.delta == 0:
             B_j = math.sqrt(K_j * log_term_j / eps_j)
+        elif eps_j**2 == 0:  # eps_j < 1e-161: B_j is past every float
+            B_j = math.inf
         else:
             B_j = (K_j * math.log(1 / delta_j) * log_term_j**2 / eps_j**2) ** (
                 1 / 3
@@ -393,10 +396,12 @@ def run_unknown_k_all_bounds(
         start = t
         t = _scan(mech, counts, t, outputs)
         indices.extend([j] * (t - start))
+        yes_total += mech.yes_events
         # boundary refresh: released value between instances
         out = counts.item(t - 1) + src.laplace(1.0 / eps_j)
     return RunResult(
         outputs=outputs,
+        yes_events=yes_total,
         instances=j,
         fallback=fallback,
         instance_indices=indices,
@@ -423,64 +428,42 @@ def run_gaussian_baseline(
     return RunResult(outputs=_gaussian_release(pp, T, stream.counts, src))
 
 
-class ContinualCountingMechanism:
-    """Binary-tree noisy prefix sums over the distinct-count difference
-    sequence; valid for event-level privacy in the likes model only.
-
-    A difference value lies in one dyadic node per level, and the tree over
-    [1, T] has floor(log2 T) + 1 levels, so changing one value moves
-    T.bit_length() node sums by at most its own change.  Per node the noise
-    is therefore Lap(T.bit_length()/eps), drawn lazily on first use and
-    cached, so each step costs O(log T) work.
-    """
-
-    def __init__(self, eps: float, T: int, src: RandomSource):
-        if not (math.isfinite(eps) and eps > 0):
-            raise ParameterError(f"epsilon must be positive and finite, got {eps}")
-        if T < 1:
-            raise ParameterError(f"T must be >= 1, got {T}")
-        self.eps = eps
-        self.T = T
-        self._src = src
-        self._scale = T.bit_length() / eps
-        self._cumsum = [0]  # cumulative diffs, index t
-        self._node_noise: dict[tuple[int, int], float] = {}
-
-    def _noise(self, level: int, index: int) -> float:
-        key = (level, index)
-        if key not in self._node_noise:
-            self._node_noise[key] = self._src.laplace(self._scale)
-        return self._node_noise[key]
-
-    def add(self, diff: int) -> float:
-        """Ingest one difference value; return the noisy prefix sum."""
-        self._cumsum.append(self._cumsum[-1] + diff)
-        t = len(self._cumsum) - 1
-        # dyadic decomposition of [1, t]
-        total = 0.0
-        hi = t
-        while hi > 0:
-            level = (hi & -hi).bit_length() - 1  # largest power of 2 dividing hi
-            size = 1 << level
-            lo = hi - size
-            total += (self._cumsum[hi] - self._cumsum[lo]) + self._noise(
-                level, hi >> level
-            )
-            hi = lo
-        return total
+def _require_likes(stream: Stream, what: str) -> None:
+    require_valid(stream)
+    if stream.model != streammod.LIKES:
+        raise ParameterError(f"{what} requires a likes-model stream")
 
 
 def run_continual_likes(
     eps: float, T: int, stream: Stream, src: RandomSource
 ) -> RunResult:
-    """Continual counting baseline on the difference sequence (likes model)."""
-    require_valid(stream)
-    if stream.model != streammod.LIKES:
-        raise ParameterError(
-            "the continual-counting baseline requires a likes-model stream"
-        )
-    mech = ContinualCountingMechanism(eps, T, src)
-    return RunResult(outputs=[mech.add(diff) for diff in diff_sequence(stream)])
+    """Binary-tree noisy prefix sums of the distinct-count difference
+    sequence; valid for event-level privacy in the likes model only.
+
+    Changing one difference value moves one node sum per level of the tree
+    over [1, T], so each node gets Lap(T.bit_length()/eps).  The release at
+    t adds q[hi] - q[lo] plus the noise of node (lo, hi], for hi = t and
+    then lo = hi & (hi - 1) until 0, lowest level first; node noise is drawn
+    at the step where the node ends.
+    """
+    _require_likes(stream, "the continual-counting baseline")
+    PrivacyParams(eps)  # rejects an epsilon that is not positive and finite
+    if T < 1:
+        raise ParameterError(f"T must be >= 1, got {T}")
+    scale = T.bit_length() / eps
+    # entry 0 is the empty prefix: once a step's nodes are summed, hi stays 0
+    # and adds (0 - 0) + 0.0, which leaves the (never -0.0) total unchanged
+    noise = np.array([0.0] + [src.laplace(scale) for _ in range(stream.length)])
+    q = np.concatenate(([0], stream.counts))
+    total = np.zeros(len(q))
+    hi = np.arange(len(q))
+    # a scale near the float range gives inf and nan, silently, as scalar adds do
+    with np.errstate(over="ignore", invalid="ignore"):
+        while hi.any():
+            lo = hi & (hi - 1)
+            total += (q[hi] - q[lo]) + noise[hi]
+            hi = lo
+    return RunResult(outputs=total[1:].tolist())
 
 
 def run_event_to_item(
@@ -490,9 +473,7 @@ def run_event_to_item(
 
     ``inner_run`` must accept a stream of length T+1.
     """
-    require_valid(stream)
-    if stream.model != streammod.LIKES:
-        raise ParameterError("the adapter requires a likes-model stream")
+    _require_likes(stream, "the adapter")
     padded = Stream.from_columns(
         stream.d,
         stream.T + 1,
@@ -502,10 +483,6 @@ def run_event_to_item(
         stream.deltas,
     )
     inner = inner_run(padded)
-    return RunResult(
-        outputs=inner.outputs[1:],
-        yes_events=inner.yes_events,
-        instances=inner.instances,
-        abort_step=inner.abort_step,
-        fallback=inner.fallback,
+    return replace(
+        inner, outputs=inner.outputs[1:], instance_indices=inner.instance_indices[1:]
     )

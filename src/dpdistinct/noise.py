@@ -44,7 +44,9 @@ def _inverse_cdf(r: float, b: float) -> float:
 
 def child_seed(base_seed: int, index: int) -> int:
     """Deterministic per-trial seed, independent of execution order."""
-    ss = np.random.SeedSequence([base_seed & 0xFFFFFFFFFFFFFFFF, index])
+    if base_seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {base_seed}")
+    ss = np.random.SeedSequence([base_seed, index])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -70,8 +72,8 @@ class RandomSource:
         self.laplace_calls += 1
         if self.mode == ZERO:
             return 0.0
-        if b <= 0:
-            raise ParameterError(f"Laplace scale must be positive, got {b}")
+        if not 0 < b < math.inf:
+            raise ParameterError(f"Laplace scale must be positive and finite, got {b}")
         self.laplace_draws += 1
         r = self._rng.random()
         while r == 0.0:  # would be log(0); every other uniform is used as drawn
@@ -83,8 +85,8 @@ class RandomSource:
         self.gaussian_calls += 1
         if self.mode == ZERO:
             return 0.0
-        if sigma <= 0:
-            raise ParameterError(f"Gaussian std must be positive, got {sigma}")
+        if not 0 < sigma < math.inf:
+            raise ParameterError(f"Gaussian std must be positive and finite, got {sigma}")
         self.gaussian_draws += 1
         return sigma * self._rng.standard_normal()
 
@@ -163,8 +165,8 @@ class LaplaceTape:
         if not self._live:
             self.take(1)
             return 0.0
-        if b <= 0:
-            raise ParameterError(f"Laplace scale must be positive, got {b}")
+        if not 0 < b < math.inf:
+            raise ParameterError(f"Laplace scale must be positive and finite, got {b}")
         self._fill(1)
         value = self.exact(0, b)
         self.take(1)

@@ -183,7 +183,6 @@ class CounterState:
 class FlippancySummary:
     total_K: int
     max_w: int
-    per_item: list[int]
 
 
 @dataclass
@@ -247,7 +246,6 @@ def total_flippancy(stream: Stream) -> FlippancySummary:
     return FlippancySummary(
         total_K=int(flips.sum()),
         max_w=int(flips.max(initial=0)),
-        per_item=flips.tolist(),
     )
 
 

@@ -334,3 +334,119 @@ class TestBench:
         out = capsys.readouterr().out
         assert "laplace_draws=0" in out
         assert "updates=3" in out
+
+
+class TestNoTraceback:
+    """Inputs that raised an exception out of ``main``; each now ends with
+    exit 1 (``parameter error:``) or 2 (``input error:``)."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--mechanism", "unknown-k-all", "--beta", "0"],
+            ["--mechanism", "unknown-k-all", "--beta", "-1"],
+            ["--mechanism", "known-k", "--K", "5", "--eps", "1e308"],
+            ["--mechanism", "known-k", "--K", "5", "--eps", "5e-324"],
+            ["--mechanism", "unknown-k", "--eps", "5e-324"],
+            ["--mechanism", "unknown-k-all", "--eps", "5e-324"],
+            ["--mechanism", "known-k", "--K", "5", "--delta", "1e-320", "--eps", "0.5"],
+            ["--mechanism", "unknown-k", "--delta", "1e-320", "--eps", "0.5"],
+            ["--mechanism", "unknown-k-all", "--delta", "1e-320", "--eps", "0.5"],
+            ["--mechanism", "laplace-T", "--eps", "5e-324"],
+            ["--mechanism", "gaussian-T", "--delta", "1e-320", "--eps", "0.5"],
+            ["--mechanism", "continual-likes", "--eps", "5e-324"],
+        ],
+        ids=lambda flags: " ".join(flags[1:]),
+    )
+    def test_run_parameter_error(self, tmp_path, capsys, flags):
+        path = write_stream(tmp_path)
+        rc = main(["run", "--input", path, *flags])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("parameter error: ")
+        assert captured.out == ""
+
+    def test_unknown_k_all_on_an_empty_stream_needs_T(self, tmp_path, capsys):
+        path = write_stream(tmp_path, text="dstream 1 4 0 likes\n")
+        rc = main(["run", "--input", path, "--mechanism", "unknown-k-all"])
+        assert rc == 1
+        assert capsys.readouterr().err == "parameter error: T must be >= 1, got 0\n"
+
+    def test_unknown_k_all_with_a_tiny_approximate_dp_epsilon_runs(self, tmp_path):
+        path = write_stream(tmp_path)
+        rc = main(["run", "--input", path, "--mechanism", "unknown-k-all",
+                   "--eps", "1e-200", "--delta", "0.1", "-o", str(tmp_path / "o.csv")])
+        assert rc == 0
+
+    def test_bounds_with_a_tiny_approximate_dp_epsilon(self, capsys):
+        rc = main(["bounds", "--eps", "5e-324", "--delta", "0.1", "--beta", "0.1",
+                   "--T", "4", "--K", "2", "--d", "3"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "branch_flippancy=inf\n" in out and "min=2\n" in out
+
+    @pytest.mark.parametrize("family, flag", [("blocks", "--J"), ("multiupdate", "--I")])
+    def test_non_integer_list_is_parameter_error(self, tmp_path, capsys, family, flag):
+        rc = main(["generate", family, "--m", "2", flag, "1,x", "--Tprime", "8",
+                   "-o", str(tmp_path / "g.dstream")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"parameter error: {flag} must be comma-separated integers, got '1,x'\n"
+        )
+
+    @pytest.mark.parametrize("bad", ["directory", "latin-1"])
+    @pytest.mark.parametrize("where", ["input", "neighbor", "marginals"])
+    def test_unreadable_file_is_input_error(self, tmp_path, capsys, where, bad):
+        good = write_stream(tmp_path)
+        if bad == "directory":
+            path = str(tmp_path)
+        else:
+            path = str(tmp_path / "latin1")
+            (tmp_path / "latin1").write_bytes(b"dstream 1 4 4 likes\n\xe9:+1\n")
+        argv = {
+            "input": ["run", "--input", path, "--mechanism", "zero"],
+            "neighbor": ["probe", "--input", good, "--neighbor", path,
+                         "--mechanism", "zero", "--samples", "2"],
+            "marginals": ["generate", "marginals", "--file", path,
+                          "-o", str(tmp_path / "g.dstream")],
+        }[where]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("input error: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "neighbor_text", ["dstream 1 4 0 likes\n", None], ids=["both", "neighbor"]
+    )
+    def test_probe_of_an_empty_stream_is_input_error(self, tmp_path, capsys, neighbor_text):
+        path = write_stream(tmp_path, text="dstream 1 4 0 likes\n")
+        neighbor = write_stream(tmp_path, "y.dstream", neighbor_text)
+        rc = main(["probe", "--input", neighbor, "--neighbor", path,
+                   "--mechanism", "laplace-T", "--samples", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "input error: probe needs at least one step in the input and the neighbor\n"
+        )
+
+    @pytest.mark.parametrize("command", ["trials", "probe"])
+    def test_negative_seed_is_parameter_error(self, tmp_path, capsys, command):
+        path = write_stream(tmp_path)
+        argv = {
+            "trials": ["trials", "--trials", "2"],
+            "probe": ["probe", "--neighbor", path, "--samples", "2"],
+        }[command]
+        rc = main([*argv, "--input", path, "--mechanism", "laplace-T", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "parameter error: seed must be >= 0, got -1\n"
+        assert captured.out == ""
+
+    def test_seed_past_64_bits_is_not_aliased(self, tmp_path, capsys):
+        path = write_stream(tmp_path)
+        outs = []
+        for seed in ("0", str(2**64)):
+            assert main(["trials", "--input", path, "--mechanism", "laplace-T",
+                         "--trials", "3", "--seed", seed]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] != outs[1]

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from dpdistinct import RandomSource, Stream, child_seed
+from dpdistinct import ParameterError, RandomSource, Stream, child_seed
 from dpdistinct.generators import random_stream
 from dpdistinct.harness import (
     default_projection_step,
@@ -143,6 +143,15 @@ class TestProbe:
         x = Stream(d=3, T=3, model="likes", batches=[[(1, 1)], [(2, 1)], [(3, 1)]])
         y = Stream(d=3, T=3, model="likes", batches=[[(1, 1)], [], []])
         assert default_projection_step(x, y) == 2
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1e308])
+    def test_non_finite_bin_is_parameter_error(self, value):
+        # a noise scale near the float range can release inf (or inf - inf);
+        # 1e308 over a bin width of 1e-10 overflows the bin index
+        s = Stream(d=2, T=1, model="likes", batches=[[(1, 1)]])
+        run_fn = lambda src, st: RunResult(outputs=[value])
+        with pytest.raises(ParameterError, match="is not finite"):
+            privacy_probe(run_fn, s, s, bin_width=1e-10, n_samples=3)
 
     def test_self_probe_is_tight_for_concentrated_release(self):
         # a sharp release puts every eligible bin at high mass, so the

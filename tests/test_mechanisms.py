@@ -2,13 +2,13 @@
 wrappers, baselines, and the item-level adapter."""
 
 import math
+from unittest import mock
 
 import pytest
 
-from dpdistinct import CounterState, ParameterError, RandomSource, Stream, child_seed
+from dpdistinct import CounterState, ParameterError, RandomSource, Stream, child_seed, mechanisms
 from dpdistinct.generators import multiupdate_stream, random_stream
 from dpdistinct.mechanisms import (
-    ContinualCountingMechanism,
     KnownKConfig,
     KnownKMechanism,
     MechanismAborted,
@@ -296,6 +296,32 @@ class TestUnknownKAllBounds:
         assert result.instances == 2
         assert result.outputs == [6.0] * 8  # refresh, then exact baseline
 
+    def test_yes_events_sum_over_instances(self):
+        instances = []
+
+        class Recorded(KnownKMechanism):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                instances.append(self)
+
+        batches = [[(i, 1) for i in range(1, 7)]] + [[] for _ in range(7)]
+        s = Stream(d=8, T=8, model="likes", batches=batches)
+        with mock.patch.object(mechanisms, "KnownKMechanism", Recorded):
+            result = run_unknown_k_all_bounds(
+                PrivacyParams(50.0), 0.4, 8, s, RandomSource(0, "zero")
+            )
+        assert [m.yes_events for m in instances] == [1]
+        assert result.yes_events == 1
+        instances.clear()
+        # each swing of 400 items ends a frozen instance
+        s = multiupdate_stream(400, 400, (10, 40, 70, 100, 130), 150)
+        with mock.patch.object(mechanisms, "KnownKMechanism", Recorded):
+            result = run_unknown_k_all_bounds(
+                PrivacyParams(2.0), 0.4, s.T, s, RandomSource(5)
+            )
+        assert result.instances == len(instances) > 1
+        assert result.yes_events == sum(m.yes_events for m in instances) > 1
+
     def test_determinism(self):
         s = random_stream(16, 128, target_K=100, seed=10)
         runs = [
@@ -357,13 +383,12 @@ class TestContinualCounting:
 
     def test_node_noise_reused(self):
         src = RandomSource(7)
-        mech = ContinualCountingMechanism(1.0, 8, src)
-        outs_a = [mech.add(1) for _ in range(8)]
-        # prefix 8 = one level-3 node: exactly one fresh draw at step 8
-        assert src.laplace_calls <= sum(
-            bin(t).count("1") for t in range(1, 9)
-        )
-        assert len(outs_a) == 8
+        s = Stream(d=8, T=8, model="likes", batches=[[(i, 1)] for i in range(1, 9)])
+        outs = run_continual_likes(1.0, 8, s, src).outputs
+        # the node ending at step t is new at t; every other node of the
+        # prefix [1, t] ended earlier and is reused: one draw per step
+        assert src.laplace_calls == src.laplace_draws == 8
+        assert len(outs) == 8
 
     @pytest.mark.parametrize("T, levels", [(1, 1), (2, 2), (4, 3), (40, 6), (1024, 11)])
     def test_scale_covers_every_node_of_a_step(self, T, levels):
@@ -379,17 +404,26 @@ class TestContinualCounting:
                     covering[p].add((size, hi))
                 hi -= size
         assert max(map(len, covering)) == levels
-        mech = ContinualCountingMechanism(0.5, T, RandomSource(0))
-        assert mech._scale == levels / 0.5
+
+        scales = []
+
+        class RecordingSource(RandomSource):
+            def laplace(self, b):
+                scales.append(b)
+                return super().laplace(b)
+
+        s = Stream(d=1, T=T, model="likes", batches=[[(1, 1)]])
+        run_continual_likes(0.5, T, s, RecordingSource(0))
+        assert scales == [levels / 0.5]
 
     def test_noise_count_logarithmic(self):
         src = RandomSource(8)
         T = 256
-        mech = ContinualCountingMechanism(1.0, T, src)
-        for _ in range(T):
-            mech.add(1)
-        # one cached draw per dyadic node that appears: < 2T total
-        assert src.laplace_calls < 2 * T
+        s = Stream(d=T, T=T, model="likes", batches=[[(i, 1)] for i in range(1, T + 1)])
+        run_continual_likes(1.0, T, s, src)
+        # one draw per dyadic node, and the tree has one node ending at each
+        # step: T draws, where a fresh draw per node use would take ~T log T / 2
+        assert src.laplace_calls == T
 
     def test_determinism(self):
         s = random_stream(8, 64, model="likes", target_K=40, seed=12)
@@ -418,6 +452,19 @@ class TestEventToItemAdapter:
             lambda p: run_continual_likes(1.0, 17, p, RandomSource(99)), s
         )
         assert adapted.outputs == direct.outputs[1:]
+
+    def test_instance_indices_shift_with_the_outputs(self):
+        s = random_stream(6, 16, model="likes", target_K=10, seed=22)
+        pp = PrivacyParams(1.0)
+        padded = Stream(
+            d=6, T=17, model="likes", batches=[[]] + [list(b) for b in s.batches]
+        )
+        direct = run_unknown_k(pp, 0.1, 17, padded, RandomSource(3))
+        adapted = run_event_to_item(
+            lambda p: run_unknown_k(pp, 0.1, 17, p, RandomSource(3)), s
+        )
+        assert adapted.instance_indices == direct.instance_indices[1:]
+        assert len(adapted.instance_indices) == len(adapted.outputs) == 16
 
     def test_rejects_general_model(self):
         s = random_stream(4, 8, model="general", target_K=4, seed=0)

@@ -68,6 +68,16 @@ class TestValidation:
         with pytest.raises(ParameterError, match="seed must be >= 0"):
             RandomSource(-1)
 
+    def test_negative_base_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+            child_seed(-1, 0)
+
+    def test_base_seed_is_not_masked(self):
+        # seeds below 2^64 derive as they always did; larger ones do not wrap
+        assert child_seed(5, 3) == 8065153966420768690
+        assert child_seed(2**64 - 1, 3) == 11914516797924694533
+        assert child_seed(2**64 + 5, 3) != child_seed(5, 3)
+
 
 class _Uniforms:
     """Generator stub that hands out a fixed sequence of uniforms."""
