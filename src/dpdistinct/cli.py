@@ -34,15 +34,21 @@ MECHANISMS = (
 )
 
 
+def int64(text: str) -> int:
+    """An integer flag in the int64 range, which numpy and the float arithmetic need."""
+    if -(2**63) <= int(text) < 2**63:
+        return int(text)
+    raise argparse.ArgumentTypeError("integer outside [-2^63, 2^63)")
+
+
 def _add_mechanism_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mechanism", required=True, choices=MECHANISMS)
     p.add_argument("--eps", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--K", type=int, help="flippancy budget (required for known-k)")
-    p.add_argument("--T", type=int, help="override the stream header's T")
+    p.add_argument("--K", type=int64, help="flippancy budget (required for known-k)")
+    p.add_argument("--T", type=int64, help="override the stream header's T")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", choices=("live", "zero"), default="live")
 
 
 def _make_run_fn(args, T: int):
@@ -219,17 +225,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a .dstream file")
     gen.add_argument("family", choices=("blocks", "multiupdate", "marginals", "random"))
-    gen.add_argument("--d", type=int, default=None)
-    gen.add_argument("--m", type=int)
+    gen.add_argument("--d", type=int64, default=None)
+    gen.add_argument("--m", type=int64)
     gen.add_argument("--J", help="comma-separated block indices (blocks)")
     gen.add_argument("--I", help="comma-separated time steps (multiupdate)")
-    gen.add_argument("--Tprime", type=int)
+    gen.add_argument("--Tprime", type=int64)
     gen.add_argument("--file", help="marginals table file")
     gen.add_argument("--variant", choices=("singleton", "multi"), default="singleton")
-    gen.add_argument("--T", type=int)
+    gen.add_argument("--T", type=int64)
     gen.add_argument("--model", choices=("general", "likes"), default="likes")
     gen.add_argument("--singleton", action="store_true")
-    gen.add_argument("--K", type=int, default=0)
+    gen.add_argument("--K", type=int64, default=0)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-o", "--output", required=True)
     gen.set_defaults(func=cmd_generate)
@@ -251,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--eps", type=float, required=True)
     bounds.add_argument("--delta", type=float, default=0.0)
     bounds.add_argument("--beta", type=float, required=True)
-    bounds.add_argument("--T", type=int, required=True)
-    bounds.add_argument("--K", type=int, required=True)
-    bounds.add_argument("--d", type=int, required=True)
+    bounds.add_argument("--T", type=int64, required=True)
+    bounds.add_argument("--K", type=int64, required=True)
+    bounds.add_argument("--d", type=int64, required=True)
     bounds.add_argument("--regime", choices=("known", "unknown"), default="known")
     bounds.set_defaults(func=cmd_bounds)
 
@@ -270,6 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mechanism_flags(bench)
     bench.set_defaults(func=cmd_bench)
 
+    for p in (run, trials, bench):  # probe always draws live noise
+        p.add_argument("--noise", choices=("live", "zero"), default="live")
     return parser
 
 

@@ -148,7 +148,6 @@ def theoretical_bound(
 class ProbeResult:
     eps_hat: float | None
     status: str  # "ok" | "inconclusive"
-    n_samples: int
     n_bins: int
     eligible_bins: int
     projection_step: int
@@ -223,7 +222,6 @@ def privacy_probe(
     return ProbeResult(
         eps_hat=eps_hat,
         status="ok" if eligible else "inconclusive",
-        n_samples=n_samples,
         n_bins=len(bins),
         eligible_bins=eligible,
         projection_step=step,

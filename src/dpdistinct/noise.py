@@ -23,6 +23,7 @@ next draw, of either kind, is the one the scalar calls would have made.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -58,14 +59,15 @@ class RandomSource:
             raise ParameterError(f"seed must be >= 0, got {seed}")
         self.seed = seed
         self.mode = mode
-        self._rng = np.random.default_rng(seed)
         self.laplace_calls = 0
         self.laplace_draws = 0
         self.gaussian_calls = 0
         self.gaussian_draws = 0
 
-    def child(self, index: int) -> "RandomSource":
-        return RandomSource(child_seed(self.seed, index), self.mode)
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        """The generator, built on first use: zero mode never draws."""
+        return np.random.default_rng(self.seed)
 
     def laplace(self, b: float) -> float:
         """One Lap(b) sample (0 in zero mode)."""

@@ -22,12 +22,13 @@ singleton.  The oracles below read these stored values, and mechanisms read
 q_t from the stream instead of replaying its batches.  ``CounterState`` and
 ``apply_batch`` replay batches one at a time for callers that feed a
 mechanism batch by batch.  The module also provides the ``.dstream`` text
-format, which ``loads`` parses straight into the arrays.
+format (grammar below), which ``loads`` parses straight into the arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 from operator import index
@@ -65,8 +66,10 @@ class Stream:
         # operator.index rejects floats and strings, which int64 would coerce
         flat = map(index, chain.from_iterable(chain.from_iterable(batches)))
         try:
+            if not set(map(len, chain.from_iterable(batches))) <= {2}:
+                raise TypeError("an update is not an (item, delta) pair")
             pairs = np.fromiter(flat, dtype=np.int64, count=2 * int(offsets[-1]))
-        except OverflowError:  # an id or delta beyond int64 is out of range
+        except (TypeError, OverflowError):  # a non-pair, or a number beyond int64
             for t, batch in enumerate(batches, start=1):
                 _check_step(batch, d, t)
             raise
@@ -86,6 +89,8 @@ class Stream:
             raise ParameterError(f"dimension d must be >= 1, got {d}")
         if T < 0:
             raise ParameterError(f"length bound T must be >= 0, got {T}")
+        if max(d, T) >= 2**63:  # numpy sizes and the mechanisms' floats need int64
+            raise ParameterError("dimension d and length bound T must be below 2^63")
         if model not in _MODELS:
             raise ParameterError(f"unknown model {model!r}")
         if length > T:
@@ -157,26 +162,14 @@ class Stream:
         return f"Stream(d={self.d}, T={self.T}, model={self.model!r}, length={self.length})"
 
 
-@dataclass
 class CounterState:
-    """Per-item running sums plus the live distinct count.
+    """Per-item running sums ``c``, all 0 at the start, and the live distinct
+    count ``q = |{i : c[i] > 0}|``; an update costs O(1)."""
 
-    ``q`` is maintained incrementally and always equals ``|{i : c[i] > 0}|``.
-    Update cost is proportional to the batch size only.
-    """
-
-    d: int
-    c: list[int] = field(default_factory=list)
-    q: int = 0
-    t: int = 0
-
-    def __post_init__(self):
-        if not self.c:
-            self.c = [0] * self.d
-        elif len(self.c) != self.d:
-            raise StreamFormatError("initial counts length does not match d")
-        else:
-            self.q = sum(1 for v in self.c if v > 0)
+    def __init__(self, d: int):
+        self.d = d
+        self.c = [0] * d
+        self.q = 0
 
 
 @dataclass
@@ -193,9 +186,13 @@ class ValidationReport:
 
 
 def check_batch(batch: UpdateBatch, d: int) -> None:
-    """Reject out-of-range item ids, bad deltas, and duplicate items."""
+    """Reject non-pairs, out-of-range item ids, bad deltas, and duplicate items."""
     seen = set()
-    for item, delta in batch:
+    for update in batch:
+        try:
+            item, delta = update
+        except (TypeError, ValueError):
+            raise StreamFormatError(f"update {update!r} is not an (item, delta) pair") from None
         if not 1 <= item <= d:
             raise StreamFormatError(f"item id {item} outside [1, {d}]")
         if delta not in (-1, 1):
@@ -222,7 +219,6 @@ def apply_batch(state: CounterState, batch: UpdateBatch) -> CounterState:
         new = old + delta
         c[item - 1] = new
         state.q += (new > 0) - (old > 0)
-    state.t += 1
     return state
 
 
@@ -279,7 +275,10 @@ def require_valid(stream: Stream) -> None:
 # --- .dstream text format -------------------------------------------------
 #
 # line 1:       dstream 1 <d> <T> <general|likes>
-# lines 2..T+1: space-separated "<item>:<+1|-1>" tokens; empty line = no-op
+# lines 2..T+1: "<item>:<delta>" tokens matching _TOKEN, separated by spaces
+#               and tabs; empty line = no-op
+
+_TOKEN = re.compile(r"[+-]?[0-9]{1,18}:[+-]?[0-9]{1,18}")  # 18 digits fit in int64
 
 
 def dumps(stream: Stream) -> str:
@@ -304,16 +303,15 @@ _CLASS = bytes(
 _PAIRS = bytes(
     5 * a + b for a, b in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 4), (3, 2), (4, 2), (4, 3))
 )
-_MAX_DIGITS = 18  # so that every number fits int64
+_MAX_DIGITS = 18  # as in _TOKEN
 
 
 def _parse_columns(lines: list[str]):
     """Parse data lines into (offsets, items, deltas), or return None.
 
-    This covers text made only of ``[+-]<digits>:[+-]<digits>`` tokens (signs
-    optional, at most 18 digits per number) separated by spaces and tabs;
-    for such text the arrays hold exactly the numbers that ``str.split`` and
-    ``int`` read.  Any other text returns None.
+    The text parses when every token, split on spaces and tabs, matches
+    ``_TOKEN``; the arrays then hold its numbers, line by line.  Any other
+    text returns None.
     """
     # the leading spaces keep every digit window below inside the buffer
     raw = "".join((" " * _MAX_DIGITS, "\n".join(lines), " ")).encode("ascii", "replace")
@@ -355,30 +353,22 @@ def _parse_columns(lines: list[str]):
     return offsets, columns[0], columns[1]
 
 
-def _parse_tokens(lines: list[str]) -> list[UpdateBatch]:
-    """Per-token parse of the data lines with ``str.split`` and ``int``."""
-    batches: list[UpdateBatch] = []
+def _bad_token(lines: list[str]) -> StreamFormatError:
+    """The error for the first token, by line and then position, that does
+    not match ``_TOKEN``; tokens are split on spaces and tabs."""
     for lineno, line in enumerate(lines, start=2):
-        batch: UpdateBatch = []
-        for token in line.split():
-            item_s, _, delta_s = token.partition(":")
-            try:
-                item, delta = int(item_s), int(delta_s)
-            except ValueError:
-                raise StreamFormatError(f"bad token {token!r} on line {lineno}")
-            batch.append((item, delta))
-        batches.append(batch)
-    return batches
+        for token in re.findall(r"[^ \t]+", line):
+            if not _TOKEN.fullmatch(token):
+                return StreamFormatError(f"bad token {token!r} on line {lineno}")
+    raise AssertionError("_parse_columns rejected text that matches the grammar")
 
 
 def loads(text: str) -> Stream:
-    """Parse ``.dstream`` text.
+    """Parse ``.dstream`` text straight into the arrays (``_parse_columns``).
 
-    Text of plain ASCII tokens goes straight into the arrays
-    (``_parse_columns``).  Other text (a token ``int`` rejects, or spellings
-    it accepts such as ``1_0``, non-ASCII digits and spaces, or numbers over
-    18 digits) goes through the per-token parse, which raises the first bad
-    token's error or returns the batches.  Errors name the line.
+    Text with a token that does not match ``_TOKEN`` raises the first such
+    token's error; a bad batch raises its step's error.  Errors name the
+    line.
     """
     lines = text.splitlines()
     if not lines:
@@ -399,11 +389,10 @@ def loads(text: str) -> Stream:
             f"{len(data_lines)} data lines exceed declared T={T}"
         )
     columns = _parse_columns(data_lines)
-    batches = None if columns else _parse_tokens(data_lines)
+    if columns is None:
+        raise _bad_token(data_lines)
     try:
-        if batches is None:
-            return Stream.from_columns(d, T, model, *columns)
-        return Stream(d, T, model, batches)
+        return Stream.from_columns(d, T, model, *columns)
     except StreamFormatError as exc:  # the batch count was checked above
         raise StreamFormatError(f"line {exc.step + 1}: {exc}") from None
 

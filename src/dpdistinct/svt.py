@@ -51,12 +51,10 @@ class AboveThreshold:
         self._src = src
         self.tau = threshold_noise(eps, src)
         self.aborted = False
-        self.queries_answered = 0
 
     def step(self, q_value: float) -> SvtAnswer:
         if self.aborted:
             return SvtAnswer.ABORTED
-        self.queries_answered += 1
         if fires(q_value, self.thresh, self.tau, self.eps, self._src):
             self.aborted = True
             return SvtAnswer.YES

@@ -8,6 +8,7 @@ from dpdistinct import stream as streammod
 from dpdistinct.cli import main
 from dpdistinct.stream import distinct_counts
 
+BIG = str(10**400)  # past the double range
 
 def write_stream(tmp_path, name="s.dstream", text=None):
     path = tmp_path / name
@@ -280,6 +281,15 @@ class TestProbe:
         )
         assert eps_hat <= 0.1
 
+    def test_probe_does_not_offer_noise(self, tmp_path, capsys):
+        # probe always draws live noise, so --noise zero would be ignored
+        path = write_stream(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["probe", "--input", path, "--neighbor", path, "--mechanism", "laplace-T",
+                  "--samples", "2", "--noise", "zero"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --noise zero" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags",
         [["--bin-width", "0"], ["--bin-width", "nan"], ["--bin-width", "inf"],
@@ -450,3 +460,35 @@ class TestNoTraceback:
                          "--trials", "3", "--seed", seed]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] != outs[1]
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "--mechanism", "known-k", "--K", BIG], "--K"),
+            (["run", "--mechanism", "laplace-T", "--T", BIG], "--T"),
+            (["run", "--mechanism", "unknown-k-all", "--T", BIG], "--T"),
+            (["bounds", "--eps", "1", "--beta", "0.1", "--T", "4", "--K", "2", "--d", BIG], "--d"),
+            (["bounds", "--eps", "1", "--beta", "0.1", "--T", "4", "--K", BIG, "--d", "3"], "--K"),
+            (["bounds", "--eps", "1", "--beta", "0.1", "--T", BIG, "--K", "2", "--d", "3"], "--T"),
+            (["generate", "random", "--d", BIG, "--T", "3"], "--d"),
+        ],
+        ids=["run known-k --K", "run laplace-T --T", "run unknown-k-all --T",
+             "bounds --d", "bounds --K", "bounds --T", "generate random --d"],
+    )
+    def test_integer_past_the_float_range_is_rejected(self, tmp_path, capsys, argv, flag):
+        if argv[0] == "run":
+            argv = [*argv, "--input", write_stream(tmp_path)]
+        elif argv[0] == "generate":
+            argv = [*argv, "-o", str(tmp_path / "g.dstream")]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"error: argument {flag}: integer outside [-2^63, 2^63)\n" in capsys.readouterr().err
+
+    def test_header_d_past_int64_is_parameter_error(self, tmp_path, capsys):
+        path = write_stream(tmp_path, text=f"dstream 1 {10**30} 4 likes\n1:+1\n")
+        rc = main(["run", "--input", path, "--mechanism", "zero"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "parameter error: dimension d and length bound T must be below 2^63\n"
+        )

@@ -3,7 +3,8 @@
 Each example drives one subcommand (run, trials, probe, bounds, generate) on
 a tiny stream with flag values drawn from the edge cases of their types
 (0, negatives, NaN, infinities, the largest and smallest doubles, integers
-past 64 bits, non-integer lists) and from unreadable input files.  Every
+past 64 bits and past the double range, non-integer lists) and from
+unreadable input files and headers whose d or T is past 64 bits.  Every
 example must end with exit code 0, 1 (parameter error) or 2 (input error,
 or an argument argparse rejects) and no exception.
 """
@@ -27,9 +28,12 @@ SETTINGS = settings(
 
 FLOATS = ["0", "-1", "nan", "inf", "-inf", "1e308", "5e-324", "1e-320",
           "0.001", "0.1", "0.5", "1", "3"]
+# integers past 2^63 only: a size inside the int64 range can be allocated
+HUGE_INTS = [str(2**63), str(2**64), str(-(2**63) - 1), str(10**30), str(10**400),
+             str(-(10**400))]
 INTS = ["0", "-1", "-5", "1", "2", "4", "40", "nan", "inf", "1e308", "2.5",
-        str(2**64 - 1), str(2**64)]
-SMALL_INTS = ["0", "-1", "1", "2", "3", "6", "x", "nan"]
+        str(2**64 - 1), *HUGE_INTS]
+SMALL_INTS = ["0", "-1", "1", "2", "3", "6", "x", "nan", *HUGE_INTS]
 LISTS = ["1", "1,3", "2,5", "1,x", "x", "", "1,,2", "-1,2", "3,1", "1.5"]
 
 
@@ -41,6 +45,8 @@ def files(tmp_path_factory):
         "general": "dstream 1 3 5 general\n1:+1 2:+1\n1:+1\n2:-1\n\n3:+1\n",
         "empty": "dstream 1 4 0 likes\n",
         "malformed": "dstream 1 4 4 likes\n1:+2\n",
+        "huge_d": f"dstream 1 {10**30} 4 likes\n1:+1\n",
+        "huge_T": f"dstream 1 4 {10**400} likes\n1:+1\n",
         "table": "2 3\n1 0 1\n1 1 0\n",
         "bad_table": "2 3\n1 0\n",
     }
@@ -55,7 +61,8 @@ def files(tmp_path_factory):
     return paths
 
 
-INPUTS = ["likes", "likes", "general", "empty", "malformed", "latin1", "directory", "missing"]
+INPUTS = ["likes", "likes", "general", "empty", "malformed", "huge_d", "huge_T", "latin1",
+          "directory", "missing"]
 
 
 @st.composite
@@ -83,8 +90,9 @@ def argvs(draw, files):
             argv += ["--seed", draw(st.sampled_from(INTS))]
         return argv
     argv = [command, "--input", files[draw(st.sampled_from(INPUTS))],
-            "--mechanism", draw(st.sampled_from(MECHANISMS)),
-            "--noise", draw(st.sampled_from(["live", "zero"]))]
+            "--mechanism", draw(st.sampled_from(MECHANISMS))]
+    if command != "probe":  # probe has no --noise
+        argv += ["--noise", draw(st.sampled_from(["live", "zero"]))]
     for flag, values in (("--eps", FLOATS), ("--delta", FLOATS), ("--beta", FLOATS),
                          ("--K", INTS), ("--T", INTS), ("--seed", INTS)):
         if draw(st.booleans()):

@@ -27,11 +27,6 @@ class TestDeterminism:
         assert child_seed(7, 3) != child_seed(7, 4)
         assert child_seed(7, 3) != child_seed(8, 3)
 
-    def test_child_source(self):
-        a = RandomSource(5).child(2)
-        b = RandomSource(child_seed(5, 2))
-        assert a.laplace(1.0) == b.laplace(1.0)
-
 
 class TestZeroMode:
     def test_draws_are_zero(self):
@@ -45,6 +40,12 @@ class TestZeroMode:
             src.laplace(1.0)
         assert src.laplace_calls == 5
         assert src.laplace_draws == 0
+
+    def test_zero_mode_builds_no_generator(self):
+        src = RandomSource(0, "zero")
+        src.laplace(1.0)
+        src.gaussian(1.0)
+        assert "_rng" not in vars(src)
 
     def test_zero_mode_skips_scale_validation(self):
         src = RandomSource(0, "zero")

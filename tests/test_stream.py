@@ -83,16 +83,15 @@ class TestCounterState:
         assert state.q == 2
 
     def test_one_deletion(self):
-        state = CounterState(2, c=[1, 1])
+        state = apply_batch(CounterState(2), [(1, 1), (2, 1)])
         assert state.q == 2
         apply_batch(state, [(1, -1)])
         assert state.q == 1
 
     def test_empty_batch_is_identity(self):
-        state = CounterState(2, c=[1, 0])
+        state = apply_batch(CounterState(2), [(1, 1)])
         apply_batch(state, [])
-        assert state.q == 1
-        assert state.t == 1
+        assert (state.c, state.q) == ([1, 0], 1)
 
     def test_insert_then_delete(self):
         state = CounterState(2)
@@ -116,6 +115,11 @@ class TestCounterState:
         state = CounterState(2)
         with pytest.raises(StreamFormatError):
             apply_batch(state, [(1, 1), (1, -1)])
+
+    @pytest.mark.parametrize("update", [(1,), (1, 1, 5), 1])
+    def test_update_that_is_not_a_pair(self, update):
+        with pytest.raises(StreamFormatError, match=r"is not an \(item, delta\) pair$"):
+            apply_batch(CounterState(2), [update])
 
 
 class TestFlippancy:
@@ -254,6 +258,22 @@ class TestConstruction:
         with pytest.raises(StreamFormatError, match="^step 2: ") as info:
             Stream(d=2, T=3, model="general", batches=[[(1, 1)], bad, []])
         assert info.value.step == 2
+
+    @pytest.mark.parametrize(
+        "batches, step, update",
+        [
+            ([[(1, 1, 5)]], 1, "(1, 1, 5)"),
+            ([[(1,), (2, 1, 1)]], 1, "(1,)"),
+            ([[(1, 1)], [(2,)]], 2, "(2,)"),
+            ([[(1, 1)], [(2, -1), 1]], 2, "1"),
+        ],
+        ids=["triple", "single then triple", "single in step 2", "int in step 2"],
+    )
+    def test_update_that_is_not_a_pair_names_the_step(self, batches, step, update):
+        message = f"step {step}: update {update} is not an (item, delta) pair"
+        with pytest.raises(StreamFormatError) as info:
+            Stream(d=2, T=2, model="general", batches=batches)
+        assert (str(info.value), info.value.step) == (message, step)
 
     def test_counts_and_flips_are_stored(self):
         s = Stream(d=3, T=4, model="general",

@@ -1,11 +1,14 @@
 """Property tests: the columnar Stream against the per-batch reference.
 
-``reference_loads`` and ``reference_index`` are the per-token parse and the
-per-batch validation loop that the columnar constructor replaced.  For every
-input, the columnar code must build the same stream (batches, counts, flips,
+``reference_loads`` is a per-token parse that checks each token against the
+documented grammar (``GRAMMAR``), and ``reference_index`` the per-batch
+validation loop that the columnar constructor replaced.  For every input,
+the columnar code must build the same stream (batches, counts, flips,
 violation, singleton, and the ``.dstream`` text) or raise the same exception
 class with the same message.
 """
+
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,6 +26,24 @@ SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+# an item and a delta, each an optional sign and 1 to 18 ASCII digits
+GRAMMAR = re.compile(r"[+-]?[0-9]{1,18}:[+-]?[0-9]{1,18}")
+
+
+def tokens_of(line):
+    """The tokens of a data line, split on spaces and tabs."""
+    return [token for token in line.replace("\t", " ").split(" ") if token]
+
+
+def first_bad_token(lines):
+    """(token, line number) of the first token outside GRAMMAR, or None."""
+    for lineno, line in enumerate(lines, start=2):
+        for token in tokens_of(line):
+            if not GRAMMAR.fullmatch(token):
+                return token, lineno
+    return None
 
 
 def reference_index(d, T, model, batches):
@@ -79,17 +100,13 @@ def reference_loads(text):
     data_lines = lines[1:]
     if len(data_lines) > T:
         raise StreamFormatError(f"{len(data_lines)} data lines exceed declared T={T}")
-    batches = []
-    for lineno, line in enumerate(data_lines, start=2):
-        batch = []
-        for token in line.split():
-            item_s, _, delta_s = token.partition(":")
-            try:
-                item, delta = int(item_s), int(delta_s)
-            except ValueError:
-                raise StreamFormatError(f"bad token {token!r} on line {lineno}")
-            batch.append((item, delta))
-        batches.append(batch)
+    bad = first_bad_token(data_lines)
+    if bad is not None:
+        raise StreamFormatError("bad token %r on line %d" % bad)
+    batches = [
+        [tuple(map(int, token.split(":"))) for token in tokens_of(line)]
+        for line in data_lines
+    ]
     try:
         index = reference_index(d, T, model, batches)
     except StreamFormatError as exc:
@@ -197,6 +214,27 @@ def test_loads_matches_reference(text):
     assert got_err == want_err
     if want is not None:
         assert_same_stream(got, *want)
+
+
+# any Unicode, or the grammar's characters mixed with spellings that int() or
+# str.split read and the grammar does not (an Arabic-Indic digit, no-break
+# space, underscore) and with line breaks that str.splitlines honours
+TAIL = st.one_of(
+    st.text(max_size=8), st.text("0123456789:+- \t\n\u0661\xa0_\u2028\x0b", max_size=8)
+)
+
+
+@SETTINGS
+@given(dstream_texts(), TAIL)
+def test_column_parser_accepts_exactly_the_grammar(text, tail):
+    lines = (text + tail).splitlines()[1:]
+    bad = first_bad_token(lines)
+    assert (streammod._parse_columns(lines) is None) == (bad is not None)
+    if bad is not None:
+        body = "\n".join([f"dstream 1 7 {len(lines)} general", *lines])
+        with pytest.raises(StreamFormatError) as info:
+            streammod.loads(body)
+        assert str(info.value) == "bad token %r on line %d" % bad
 
 
 @pytest.mark.parametrize(
