@@ -95,16 +95,17 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def cmd_generate(args) -> int:
+    d = args.m if args.d is None else args.d  # blocks and multiupdate: d = m by default
     if args.family == "blocks":
         if args.m is None or args.J is None or args.Tprime is None:
             raise ParameterError("blocks requires --m, --J, --Tprime")
         J = _int_list(args.J, "--J")
-        s = generators.blocks_stream(args.d or args.m, args.m, J, args.Tprime)
+        s = generators.blocks_stream(d, args.m, J, args.Tprime)
     elif args.family == "multiupdate":
         if args.m is None or args.I is None or args.Tprime is None:
             raise ParameterError("multiupdate requires --m, --I, --Tprime")
         I = _int_list(args.I, "--I")
-        s = generators.multiupdate_stream(args.d or args.m, args.m, I, args.Tprime)
+        s = generators.multiupdate_stream(d, args.m, I, args.Tprime)
     elif args.family == "marginals":
         if args.file is None:
             raise ParameterError("marginals requires --file")

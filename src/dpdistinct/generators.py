@@ -5,7 +5,9 @@ a chosen set of blocks (or time steps) at which a group of items is inserted
 and deleted alternately, hitting an exact target flippancy.  The marginals
 reductions turn a binary table into a stream whose distinct counts encode the
 table's column means.  ``random_stream`` produces seeded random streams with
-a target total flippancy.
+a target total flippancy.  Every generator and neighbour constructor builds
+its (step, item, delta) columns with numpy, and ``_assemble`` hands them to
+``Stream.from_columns``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import stream as streammod
 from .errors import ParameterError, StreamFormatError
-from .stream import Stream, UpdateBatch
+from .stream import Stream
 
 
 @dataclass(frozen=True)
@@ -51,13 +53,8 @@ def blocks_stream(d: int, m: int, J: tuple[int, ...], T_prime: int) -> Stream:
         raise ParameterError(
             f"J must be strictly increasing block indices in [1, {n_blocks}]"
         )
-    batches: list[UpdateBatch] = [[] for _ in range(T_prime)]
-    for pos, j in enumerate(J):
-        delta = 1 if pos % 2 == 0 else -1
-        for i in range(1, m + 1):
-            t = (j - 1) * m + i
-            batches[t - 1] = [(i, delta)]
-    return Stream(d=d, T=T_prime, model=streammod.LIKES, batches=batches)
+    _check_size(T_prime, m * len(J))
+    return _alternating(d, T_prime, m, (np.array(J, dtype=np.int64) - 1) * m, 1)
 
 
 def multiupdate_stream(d: int, m: int, I: tuple[int, ...], T_prime: int) -> Stream:
@@ -70,11 +67,16 @@ def multiupdate_stream(d: int, m: int, I: tuple[int, ...], T_prime: int) -> Stre
         raise ParameterError(f"need d >= m >= 1, got d={d}, m={m}")
     if list(I) != sorted(set(I)) or any(not 1 <= t <= T_prime for t in I):
         raise ParameterError(f"I must be strictly increasing steps in [1, {T_prime}]")
-    batches: list[UpdateBatch] = [[] for _ in range(T_prime)]
-    for pos, t in enumerate(I):
-        delta = 1 if pos % 2 == 0 else -1
-        batches[t - 1] = [(i, delta) for i in range(1, m + 1)]
-    return Stream(d=d, T=T_prime, model=streammod.LIKES, batches=batches)
+    _check_size(T_prime, m * len(I))
+    return _alternating(d, T_prime, m, np.array(I, dtype=np.int64) - 1, 0)
+
+
+def _alternating(d: int, T: int, m: int, starts: np.ndarray, stride: int) -> Stream:
+    """Items 1..m in each group g, inserted when g is even and deleted when
+    it is odd; item i of group g is at 0-based step starts[g] + stride*(i-1)."""
+    k = np.arange(len(starts) * m)
+    steps = starts.repeat(m) + stride * (k % m)
+    return _assemble(d, T, steps, k % m + 1, 1 - 2 * (k // m % 2))
 
 
 def marginals_to_stream_singleton(table: MarginalsTable) -> Stream:
@@ -85,25 +87,15 @@ def marginals_to_stream_singleton(table: MarginalsTable) -> Stream:
     y[i, j] = 1.
     """
     n, m = table.n, table.m
-    batches: list[UpdateBatch] = [[] for _ in range(2 * n * m)]
-    for j in range(m):
-        base = j * 2 * n
-        for i in range(n):
-            if table.y[i][j]:
-                batches[base + i] = [(i + 1, 1)]
-                batches[base + n + i] = [(i + 1, -1)]
-    return Stream(d=n, T=2 * n * m, model=streammod.LIKES, batches=batches)
+    # slot i of half h (0 insert, 1 delete) of column j's block is step 2nj + nh + i
+    steps = np.flatnonzero(np.array(table.y, dtype=bool).T.repeat(2, axis=0))
+    return _assemble(n, 2 * n * m, steps, steps % n + 1, 1 - 2 * (steps // n % 2))
 
 
 def marginals_to_stream_multi(table: MarginalsTable) -> Stream:
     """Two steps per column: insert the column's row set, then delete it."""
-    n, m = table.n, table.m
-    batches: list[UpdateBatch] = []
-    for j in range(m):
-        rows = [(i + 1, 1) for i in range(n) if table.y[i][j]]
-        batches.append(rows)
-        batches.append([(item, -1) for item, _ in rows])
-    return Stream(d=n, T=2 * m, model=streammod.LIKES, batches=batches)
+    steps, rows = np.nonzero(np.array(table.y, dtype=bool).T.repeat(2, axis=0))
+    return _assemble(table.n, 2 * table.m, steps, rows + 1, 1 - 2 * (steps % 2))
 
 
 def extract_marginals(
@@ -167,38 +159,53 @@ def random_stream(
         raise ParameterError(f"target_K must be >= 0, got {target_K}")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
-    limit = T if singleton else d * T
-    if target_K > limit:
+    texture = model == streammod.GENERAL and not singleton and target_K < d * T and T >= 2
+    _check_size(T, target_K + (d if texture else 0))
+    if not singleton and d * T >= 2**63:  # numpy draws the slots as int64
+        raise ParameterError(f"d*T={d * T} slots must be below 2^63")
+    if target_K > (T if singleton else d * T):
         raise ParameterError(
             f"target_K={target_K} infeasible for d={d}, T={T}, singleton={singleton}"
         )
     rng = np.random.default_rng(seed)
-    batches: list[UpdateBatch] = [[] for _ in range(T)]
-    per_item_steps: dict[int, list[int]] = {}
     if singleton:
         steps = rng.choice(T, size=target_K, replace=False)
         items = rng.integers(1, d + 1, size=target_K)
-        for t, item in zip(steps.tolist(), items.tolist()):
-            per_item_steps.setdefault(item, []).append(t)
     else:
         slots = rng.choice(d * T, size=target_K, replace=False)
-        for s in slots.tolist():
-            per_item_steps.setdefault(s // T + 1, []).append(s % T)
-    for item, steps in per_item_steps.items():
-        for pos, t in enumerate(sorted(steps)):
-            batches[t].append((item, 1 if pos % 2 == 0 else -1))
-    if model == streammod.GENERAL and not singleton and target_K < d * T:
-        # texture: a few sub-zero excursions on slots not used for flips
-        free_items = [i for i in range(1, d + 1) if i not in per_item_steps]
-        for item in free_items[: max(1, len(free_items) // 2)]:
-            if T < 2:
-                break
-            t1, t2 = sorted(rng.choice(T, size=2, replace=False).tolist())
-            batches[t1].append((item, -1))
-            batches[t2].append((item, 1))
-    for batch in batches:
-        batch.sort()
-    return Stream(d=d, T=T, model=model, batches=batches)
+        items, steps = slots // T + 1, slots % T
+    # per item, in step order, the updates alternate insert, delete, ...
+    order = np.lexsort((steps, items))
+    items, steps = items[order], steps[order]
+    deltas = 1 - 2 * ((np.arange(len(items)) - np.searchsorted(items, items)) % 2)
+    if texture:
+        # a sub-zero excursion on half the items that no flip uses
+        free = np.setdiff1d(np.arange(1, d + 1), items)
+        free = free[: max(1, len(free) // 2)]
+        dips = [sorted(rng.choice(T, size=2, replace=False).tolist()) for _ in free]
+        steps = np.concatenate((steps, np.array(dips, dtype=np.int64).T.ravel()))
+        items = np.concatenate((items, free, free))
+        deltas = np.concatenate((deltas, np.repeat([-1, 1], len(free))))
+    order = np.lexsort((items, steps))
+    return _assemble(d, T, steps[order], items[order], deltas[order], model)
+
+
+def _check_size(length: int, updates: int) -> None:
+    """Reject sizes numpy cannot hold: an int64 array is below 2^63 bytes."""
+    if length < 0:
+        raise ParameterError(f"length bound T must be >= 0, got {length}")
+    if max(length + 1, updates) >= 2**60:
+        msg = f"{length} steps and {updates} updates do not fit in arrays of 2^60 entries"
+        raise ParameterError(msg)
+
+
+def _assemble(d, T, steps, items, deltas, model=streammod.LIKES, length=None) -> Stream:
+    """The stream whose k-th update is (items[k], deltas[k]) at 0-based step
+    steps[k], for updates in step order, with ``length`` (default T) steps."""
+    length = T if length is None else length
+    offsets = np.zeros(length + 1, dtype=np.int64)
+    np.cumsum(np.bincount(steps, minlength=length), out=offsets[1:])
+    return Stream.from_columns(d, T, model, offsets, items, deltas)
 
 
 def _replace_entries(
@@ -223,15 +230,9 @@ def _replace_entries(
         # inside a batch: by item where it gains an entry, else as it was
         key = np.where(gains[step], items, np.concatenate((within, steps)))
         order = np.lexsort((key, step))
-    new_offsets = np.zeros(stream.length + 1, dtype=np.int64)
-    np.cumsum(np.bincount(step, minlength=stream.length), out=new_offsets[1:])
-    out = Stream.from_columns(
-        stream.d,
-        stream.T,
-        stream.model,
-        new_offsets,
-        items[order],
-        np.concatenate((stream.deltas[keep], deltas))[order],
+    deltas = np.concatenate((stream.deltas[keep], deltas))
+    out = _assemble(
+        stream.d, stream.T, step, items[order], deltas[order], stream.model, stream.length
     )
     streammod.require_valid(out)
     return out

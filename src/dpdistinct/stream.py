@@ -15,14 +15,15 @@ read-only int64 numpy arrays: ``offsets`` (length + 1 entries), ``items`` and
 with the same slice of ``deltas``.  The list form ``batches`` is built from
 the arrays when it is first read.  One vectorised pass in the constructor
 checks every batch and, in the same pass, records the exact distinct count
-after every step (the count sequence q_t), each item's flippancy (how often
-its presence indicator flips, with the indicator defined to be 0 before the
-stream starts), the first likes-model violation and whether every batch is a
-singleton.  The oracles below read these stored values, and mechanisms read
-q_t from the stream instead of replaying its batches.  ``CounterState`` and
-``apply_batch`` replay batches one at a time for callers that feed a
-mechanism batch by batch.  The module also provides the ``.dstream`` text
-format (grammar below), which ``loads`` parses straight into the arrays.
+after every step (the count sequence q_t), the flippancy of each item it
+updates (how often the item's presence indicator flips, with the indicator
+defined to be 0 before the stream starts), the first likes-model violation
+and whether every batch is a singleton.  The oracles below read these stored
+values, and mechanisms read q_t from the stream instead of replaying its
+batches.  ``CounterState`` and ``apply_batch`` replay batches one at a time
+for callers that feed a mechanism batch by batch.  The module also provides
+the ``.dstream`` text format (grammar below), which ``loads`` parses straight
+into the arrays.
 """
 
 from __future__ import annotations
@@ -52,11 +53,10 @@ class Stream:
     batches)`` converts a list of batches once; ``Stream.from_columns`` takes
     the arrays directly.  A malformed batch raises ``StreamFormatError``
     naming its step.  The constructor stores ``counts`` (q_t after each
-    step), ``flips`` (per item), ``violation`` (the (item, step) of the
-    first likes-model violation, or None) and ``singleton``.  ``counts``,
-    ``flips`` and the update arrays are read-only int64 arrays, so these
-    values always describe the stream; ``batches`` is built from them on
-    first read and must not be changed either.
+    step), ``violation`` (the (item, step) of the first likes-model
+    violation, or None) and ``singleton``.  ``counts`` and the update arrays
+    are read-only int64 arrays, so these values always describe the stream;
+    ``batches`` is built from them on first read and must not be changed.
     """
 
     def __init__(self, d: int, T: int, model: str, batches: list[UpdateBatch] = ()):
@@ -123,7 +123,8 @@ class Stream:
         # per-item prefix sums after each update, in (item, step) order
         after = delta_s.cumsum()
         first = new_item.nonzero()[0]
-        after -= (after[first] - delta_s[first])[new_item.cumsum() - 1]
+        group = new_item.cumsum() - 1  # the update's item, ranked among those updated
+        after -= (after[first] - delta_s[first])[group]
         # +1 where the item becomes present, -1 where it stops being present
         gained = (after > 0).view(np.int8) - (after > delta_s).view(np.int8)
         dq = np.empty_like(gained)
@@ -132,8 +133,7 @@ class Stream:
         np.cumsum(dq, out=q[1:])
         self.counts = q[offsets[1:]]
         self.counts.flags.writeable = False
-        self.flips = np.bincount(item_s[gained != 0] - 1, minlength=self.d)
-        self.flips.flags.writeable = False
+        self._flips = np.bincount(group[gained != 0])  # per item updated, not per item in 1..d
         self.violation = None
         if self.model == LIKES:
             outside = ((after < 0) | (after > 1)).nonzero()[0]
@@ -238,11 +238,8 @@ def total_flippancy(stream: Stream) -> FlippancySummary:
     value at t-1.  The first insertion of an item therefore counts.
     """
     require_valid(stream)
-    flips = stream.flips
-    return FlippancySummary(
-        total_K=int(flips.sum()),
-        max_w=int(flips.max(initial=0)),
-    )
+    flips = stream._flips
+    return FlippancySummary(int(flips.sum()), int(flips.max(initial=0)))
 
 
 def diff_sequence(stream: Stream) -> list[int]:

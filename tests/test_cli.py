@@ -485,6 +485,48 @@ class TestNoTraceback:
         assert info.value.code == 2
         assert f"error: argument {flag}: integer outside [-2^63, 2^63)\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["multiupdate", "--m", "1", "--I", "1", "--Tprime", str(2**62)],
+             f"{2**62} steps and 1 updates do not fit in arrays of 2^60 entries"),
+            (["multiupdate", "--m", str(2**62), "--I", "1", "--Tprime", "1"],
+             f"1 steps and {2**62} updates do not fit in arrays of 2^60 entries"),
+            (["blocks", "--m", "1", "--J", "1", "--Tprime", str(2**62)],
+             f"{2**62} steps and 1 updates do not fit in arrays of 2^60 entries"),
+            (["random", "--d", "3", "--T", str(2**62), "--singleton"],
+             f"{2**62} steps and 0 updates do not fit in arrays of 2^60 entries"),
+            (["random", "--d", "1", "--T", str(2**62), "--model", "general"],
+             f"{2**62} steps and 1 updates do not fit in arrays of 2^60 entries"),
+            (["random", "--d", "3", "--T", str(2**62)],
+             f"{2**62} steps and 0 updates do not fit in arrays of 2^60 entries"),
+            (["random", "--d", str(2**62), "--T", "3"],
+             f"d*T={3 * 2**62} slots must be below 2^63"),
+            (["random", "--d", str(2**32), "--T", str(2**31)],
+             f"d*T={2**63} slots must be below 2^63"),
+            (["blocks", "--d", "0", "--m", "2", "--J", "1", "--Tprime", "4"],
+             "need d >= m >= 1, got d=0, m=2"),
+            (["multiupdate", "--d", "0", "--m", "2", "--I", "1", "--Tprime", "4"],
+             "need d >= m >= 1, got d=0, m=2"),
+            (["random", "--d", "3", "--T", "-1"], "length bound T must be >= 0, got -1"),
+            (["random", "--d", "0", "--T", "3"], "dimension d must be >= 1, got 0"),
+        ],
+        ids=["multiupdate T'", "multiupdate m", "blocks T'", "random singleton T",
+             "random general T", "random T", "random d*T", "random d*T = 2^63",
+             "blocks --d 0", "multiupdate --d 0", "random --T -1", "random --d 0"],
+    )
+    def test_generate_size_is_parameter_error(self, tmp_path, capsys, argv, message):
+        rc = main(["generate", *argv, "-o", str(tmp_path / "g.dstream")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"parameter error: {message}\n"
+
+    @pytest.mark.parametrize("d", [2**40, 2**62])
+    def test_header_d_far_past_the_stream_runs(self, tmp_path, capsys, d):
+        path = write_stream(tmp_path, text=f"dstream 1 {d} 2 likes\n1:+1\n")
+        rc = main(["run", "--input", path, "--mechanism", "zero"])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("t,output,truth,abs_error\n1,0,1,1\n")
+
     def test_header_d_past_int64_is_parameter_error(self, tmp_path, capsys):
         path = write_stream(tmp_path, text=f"dstream 1 {10**30} 4 likes\n1:+1\n")
         rc = main(["run", "--input", path, "--mechanism", "zero"])

@@ -5,6 +5,7 @@ import pytest
 
 from dpdistinct import (
     CounterState,
+    FlippancySummary,
     ModelViolationError,
     Stream,
     StreamFormatError,
@@ -279,7 +280,7 @@ class TestConstruction:
         s = Stream(d=3, T=4, model="general",
                    batches=[[(1, 1), (2, 1)], [(1, -1)], [(1, -1)], [(1, 1), (3, 1)]])
         assert list(s.counts) == [2, 1, 1, 2]
-        assert list(s.flips) == [2, 1, 1]
+        assert total_flippancy(s) == FlippancySummary(total_K=4, max_w=2)
         assert s.violation is None and not s.singleton
 
     def test_counts_are_one_read_only_int64_array(self):

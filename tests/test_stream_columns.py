@@ -3,9 +3,9 @@
 ``reference_loads`` is a per-token parse that checks each token against the
 documented grammar (``GRAMMAR``), and ``reference_index`` the per-batch
 validation loop that the columnar constructor replaced.  For every input,
-the columnar code must build the same stream (batches, counts, flips,
-violation, singleton, and the ``.dstream`` text) or raise the same exception
-class with the same message.
+the columnar code must build the same stream (batches, counts, total and
+largest flippancy, violation, singleton, and the ``.dstream`` text) or raise
+the same exception class with the same message.
 """
 
 import re
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from dpdistinct import generators
 from dpdistinct import stream as streammod
 from dpdistinct.errors import ParameterError, StreamFormatError
-from dpdistinct.stream import Stream, check_batch
+from dpdistinct.stream import FlippancySummary, Stream, check_batch, total_flippancy
 
 SETTINGS = settings(
     max_examples=400,
@@ -133,7 +133,8 @@ def assert_same_stream(s, d, T, model, batches, index):
     assert (s.d, s.T, s.model, s.length) == (d, T, model, len(batches))
     assert s.batches == batches
     assert list(s.counts) == counts
-    assert list(s.flips) == flips
+    if violation is None:
+        assert total_flippancy(s) == FlippancySummary(sum(flips), max(flips))
     assert s.violation == violation
     assert s.singleton is singleton
     text = streammod.dumps(s)
