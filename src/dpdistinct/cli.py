@@ -11,16 +11,56 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
-from itertools import count
+
+import numpy as np
 
 from . import generators, harness, mechanisms, stream as streammod
 from .errors import ModelViolationError, ParameterError, StreamFormatError
 from .noise import RandomSource
+# distinct_counts is unused here; it is kept for perfbench/traced.py, which wraps it
 from .stream import Stream, distinct_counts, total_flippancy
 
 
 def _fmt(v: float) -> str:
     return format(float(v), ".12g")
+
+
+CSV_BLOCK = 8192  # rows per block: the CSV writer's memory does not grow with T
+
+
+def _int_bytes(v: np.ndarray) -> np.ndarray:
+    """"%d" of non-negative int64s: right-aligned ASCII rows, NUL-padded."""
+    width = len(str(v.max(initial=0)))
+    digits = np.zeros((len(v), width), np.uint8)
+    for j in reversed(range(width)):  # // by a scalar is numpy's fast integer division
+        q = v // 10
+        digits[:, j] = (v - 10 * q + ord("0")) * ((v > 0) | (j == width - 1))  # no leading 0
+        v = q
+    return digits
+
+
+def _float_bytes(x: np.ndarray) -> np.ndarray:
+    """"%.12g" of float64s: left-aligned ASCII rows, NUL-padded.  Each bit
+    pattern is formatted once, so -0.0 and 0.0 stay apart."""
+    bits, rows = np.unique(x.view(np.int64), return_inverse=True)
+    text = np.array(["%.12g" % v for v in bits.view(np.float64).tolist()], dtype="S")
+    return text.view(np.uint8).reshape(len(bits), text.itemsize)[rows]
+
+
+def _write_rows(fh, outputs: np.ndarray, truth: np.ndarray, errors: np.ndarray) -> None:
+    """Write "%d,%.12g,%d,%.12g\\n" % (t, output, truth, error) for t = 1, 2, ...
+    Each block's fields and separators lie side by side in one uint8 matrix,
+    whose non-NUL bytes, read row by row, are the block's text."""
+    for lo in range(0, len(outputs), CSV_BLOCK):
+        hi = min(lo + CSV_BLOCK, len(outputs))
+        comma = np.full((hi - lo, 1), ord(","), np.uint8)
+        block = np.hstack([
+            _int_bytes(np.arange(lo + 1, hi + 1, dtype=np.int64)), comma,
+            _float_bytes(outputs[lo:hi]), comma,
+            _int_bytes(truth[lo:hi]), comma,
+            _float_bytes(errors[lo:hi]), np.full_like(comma, ord("\n")),
+        ])
+        fh.write(block[block != 0].tobytes().decode("ascii"))
 
 
 MECHANISMS = (
@@ -96,37 +136,40 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
 
 def cmd_generate(args) -> int:
     d = args.m if args.d is None else args.d  # blocks and multiupdate: d = m by default
-    if args.family == "blocks":
-        if args.m is None or args.J is None or args.Tprime is None:
-            raise ParameterError("blocks requires --m, --J, --Tprime")
-        J = _int_list(args.J, "--J")
-        s = generators.blocks_stream(d, args.m, J, args.Tprime)
-    elif args.family == "multiupdate":
-        if args.m is None or args.I is None or args.Tprime is None:
-            raise ParameterError("multiupdate requires --m, --I, --Tprime")
-        I = _int_list(args.I, "--I")
-        s = generators.multiupdate_stream(d, args.m, I, args.Tprime)
-    elif args.family == "marginals":
-        if args.file is None:
-            raise ParameterError("marginals requires --file")
-        table = generators.read_marginals_file(args.file)
-        if args.variant == "singleton":
-            s = generators.marginals_to_stream_singleton(table)
+    try:
+        if args.family == "blocks":
+            if args.m is None or args.J is None or args.Tprime is None:
+                raise ParameterError("blocks requires --m, --J, --Tprime")
+            J = _int_list(args.J, "--J")
+            s = generators.blocks_stream(d, args.m, J, args.Tprime)
+        elif args.family == "multiupdate":
+            if args.m is None or args.I is None or args.Tprime is None:
+                raise ParameterError("multiupdate requires --m, --I, --Tprime")
+            I = _int_list(args.I, "--I")
+            s = generators.multiupdate_stream(d, args.m, I, args.Tprime)
+        elif args.family == "marginals":
+            if args.file is None:
+                raise ParameterError("marginals requires --file")
+            table = generators.read_marginals_file(args.file)
+            if args.variant == "singleton":
+                s = generators.marginals_to_stream_singleton(table)
+            else:
+                s = generators.marginals_to_stream_multi(table)
+        elif args.family == "random":
+            if args.d is None or args.T is None:
+                raise ParameterError("random requires --d and --T")
+            s = generators.random_stream(
+                d=args.d,
+                T=args.T,
+                model=args.model,
+                singleton=args.singleton,
+                target_K=args.K,
+                seed=args.seed,
+            )
         else:
-            s = generators.marginals_to_stream_multi(table)
-    elif args.family == "random":
-        if args.d is None or args.T is None:
-            raise ParameterError("random requires --d and --T")
-        s = generators.random_stream(
-            d=args.d,
-            T=args.T,
-            model=args.model,
-            singleton=args.singleton,
-            target_K=args.K,
-            seed=args.seed,
-        )
-    else:
-        raise ParameterError(f"unknown generator family {args.family!r}")
+            raise ParameterError(f"unknown generator family {args.family!r}")
+    except MemoryError:  # a size inside the int64 limits that this machine cannot hold
+        raise ParameterError("the requested stream does not fit in memory") from None
     streammod.write_file(s, args.output)
     summary = total_flippancy(s)
     print(f"wrote {args.output} d={s.d} T={s.T} model={s.model} K={summary.total_K}")
@@ -138,14 +181,12 @@ def cmd_run(args) -> int:
     run_fn = _make_run_fn(args, T)
     src = RandomSource(args.seed, args.noise)
     result = run_fn(src, s)
-    report = harness.evaluate(result, s)
-    # "%.12g" formats a float as _fmt does
-    rows = zip(count(1), result.outputs, distinct_counts(s), report.per_step_error)
+    outputs, errors = harness.release_errors(result, s)
     with open(args.output, "w") if args.output else nullcontext(sys.stdout) as fh:
         fh.write("t,output,truth,abs_error\n")
-        fh.writelines(map("%d,%.12g,%d,%.12g\n".__mod__, rows))
+        _write_rows(fh, outputs, s.counts[: len(outputs)], errors)
         fh.write(
-            f"# max_error={_fmt(report.max_error)}"
+            f"# max_error={_fmt(errors.max(initial=0.0))}"
             f" aborts={1 if result.abort_step is not None else 0}"
             f" instances={result.instances}\n"
         )

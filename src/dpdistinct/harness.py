@@ -32,15 +32,16 @@ class TrialReport:
     max_error: float
 
 
-def _abs_errors(outputs: list[float], stream: Stream) -> np.ndarray:
-    """|o - q_t| over the zipped outputs and counts, in one numpy pass."""
-    n = min(len(outputs), stream.length)
-    return np.abs(np.fromiter(outputs, np.float64, count=n) - stream.counts[:n])
+def release_errors(result: RunResult, stream: Stream) -> tuple[np.ndarray, np.ndarray]:
+    """The releases o_t of the stream's steps as float64, and |o_t - q_t|."""
+    n = min(len(result.outputs), stream.length)
+    outputs = np.fromiter(result.outputs, np.float64, count=n)
+    return outputs, np.abs(outputs - stream.counts[:n])
 
 
 def evaluate(result: RunResult, stream: Stream) -> TrialReport:
     """Per-step absolute error of a run against the exact oracle."""
-    errors = _abs_errors(result.outputs, stream)
+    _, errors = release_errors(result, stream)
     return TrialReport(
         per_step_error=errors.tolist(),
         max_error=float(errors.max(initial=0.0)),
@@ -75,7 +76,7 @@ def run_trials(
     for k in range(n_trials):
         src = RandomSource(child_seed(base_seed, k), mode)
         result = run_fn(src, stream)
-        max_errors.append(float(_abs_errors(result.outputs, stream).max(initial=0.0)))
+        max_errors.append(float(release_errors(result, stream)[1].max(initial=0.0)))
     ordered = sorted(max_errors)
     quantiles = {
         q: ordered[min(int(q * n_trials), n_trials - 1)] for q in (0.5, 0.9, 0.99)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from dpdistinct import stream as streammod
+from dpdistinct import cli, harness, stream as streammod
 from dpdistinct.cli import main
 from dpdistinct.stream import distinct_counts
 
@@ -519,6 +519,35 @@ class TestNoTraceback:
         rc = main(["generate", *argv, "-o", str(tmp_path / "g.dstream")])
         assert rc == 1
         assert capsys.readouterr().err == f"parameter error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "generator, argv",
+        [
+            ("random_stream", ["random", "--d", str(2**40), "--T", "2", "--model", "general"]),
+            ("multiupdate_stream", ["multiupdate", "--m", "1", "--I", "1", "--Tprime", str(2**40)]),
+        ],
+    )
+    def test_generate_out_of_memory_is_parameter_error(
+        self, tmp_path, capsys, monkeypatch, generator, argv
+    ):
+        # the generator is replaced, so nothing of that size is allocated
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr(cli.generators, generator, out_of_memory)
+        rc = main(["generate", *argv, "-o", str(tmp_path / "g.dstream")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "parameter error: the requested stream does not fit in memory\n"
+        )
+        assert not (tmp_path / "g.dstream").exists()
+
+    def test_names_the_benchmark_tracer_wraps_stay_importable(self):
+        # perfbench/traced.py wraps these module attributes by name
+        for module, name in ((cli, "distinct_counts"), (cli, "total_flippancy"),
+                             (cli, "RandomSource"), (harness, "evaluate"),
+                             (harness, "distinct_counts")):
+            assert callable(getattr(module, name))
 
     @pytest.mark.parametrize("d", [2**40, 2**62])
     def test_header_d_far_past_the_stream_runs(self, tmp_path, capsys, d):

@@ -24,6 +24,9 @@ STREAMS = {
                 "--seed", "2"],
     "likes": ["random", "--d", "8", "--T", "40", "--model", "likes", "--K", "30",
               "--seed", "3"],
+    # 20000 steps: more than two blocks of the CSV writer (cli.CSV_BLOCK rows)
+    "long": ["random", "--d", "64", "--T", "20000", "--model", "likes", "--K", "3000",
+             "--seed", "4"],
 }
 
 # label -> (command, input, flags after --mechanism, SHA-256 of the output)
@@ -76,6 +79,16 @@ CASES = {
     "continual-likes": (
         "run", "likes", ["continual-likes", "--eps", "1"],
         "1b661468e2b56ebd3bf7d09e6b549ea31def70214f79b6e5b8938a90a01c450e",
+    ),
+    # recorded with the per-row CSV writer: refreshes in three blocks, and a
+    # release per step
+    "known-k across blocks": (
+        "run", "long", ["known-k", "--K", "300", "--eps", "1000"],
+        "a824e44b10e8c14b8efca64293d9d98691e3d334a33245dee3882c915ff6ca89",
+    ),
+    "laplace-T across blocks": (
+        "run", "long", ["laplace-T", "--eps", "1"],
+        "f4ef5ca98ecdf5dd7f7057cacaffac08831d9335be6fe143b50f728eaa1f97a8",
     ),
     "trials known-k": (
         "trials", "multi",
