@@ -14,7 +14,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from . import generators, harness, mechanisms, stream as streammod
+from . import harness, mechanisms, stream as streammod
 from .errors import ModelViolationError, ParameterError, StreamFormatError
 from .noise import RandomSource
 # distinct_counts is unused here; it is kept for perfbench/traced.py, which wraps it
@@ -135,6 +135,8 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def cmd_generate(args) -> int:
+    from . import generators  # only here, so that other subcommands skip compiling it
+
     d = args.m if args.d is None else args.d  # blocks and multiupdate: d = m by default
     try:
         if args.family == "blocks":

@@ -119,7 +119,7 @@ def extract_marginals(
 
 def read_marginals_file(path) -> MarginalsTable:
     """Parse the table format: line 1 'n m', then n rows of m 0/1 values."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise StreamFormatError("marginals file too short")

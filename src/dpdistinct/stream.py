@@ -23,7 +23,7 @@ values, and mechanisms read q_t from the stream instead of replaying its
 batches.  ``CounterState`` and ``apply_batch`` replay batches one at a time
 for callers that feed a mechanism batch by batch.  The module also provides
 the ``.dstream`` text format (grammar below), which ``loads`` parses straight
-into the arrays.
+into the arrays; ``read_file`` hands a file's bytes to the same parser.
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ UpdateBatch = list[tuple[int, int]]
 GENERAL = "general"
 LIKES = "likes"
 _MODELS = (GENERAL, LIKES)
+
+
+_RADIX_MIN = 1024  # updates; below this, checking the ids' range costs more than it saves
 
 
 class Stream:
@@ -105,7 +108,10 @@ class Stream:
         n = len(items)
         sizes = offsets[1:] - offsets[:-1]
         step = np.arange(len(sizes)).repeat(sizes)
-        order = items.argsort(kind="stable")  # by item, then by step
+        key = items
+        if n >= _RADIX_MIN and self.d < 2**16 and items.min() >= 0 and items.max() < 2**16:
+            key = items.astype(np.uint16)  # numpy radix-sorts 16-bit keys; no id wraps
+        order = key.argsort(kind="stable")  # by item, then by step
         item_s, step_s, delta_s = items[order], step[order], deltas[order]
         new_item = np.empty(n, dtype=bool)  # first update of its item
         new_item[:1] = True
@@ -274,6 +280,7 @@ def require_valid(stream: Stream) -> None:
 # line 1:       dstream 1 <d> <T> <general|likes>
 # lines 2..T+1: "<item>:<delta>" tokens matching _TOKEN, separated by spaces
 #               and tabs; empty line = no-op
+# Files are UTF-8, whatever the locale; lines end where str.splitlines ends them.
 
 _TOKEN = re.compile(r"[+-]?[0-9]{1,18}:[+-]?[0-9]{1,18}")  # 18 digits fit in int64
 
@@ -303,15 +310,16 @@ _PAIRS = bytes(
 _MAX_DIGITS = 18  # as in _TOKEN
 
 
-def _parse_columns(lines: list[str]):
-    """Parse data lines into (offsets, items, deltas), or return None.
+def _parse_columns(body: bytes):
+    """Parse data lines, each ended by "\\n", into (offsets, items, deltas), or
+    return None.
 
     The text parses when every token, split on spaces and tabs, matches
     ``_TOKEN``; the arrays then hold its numbers, line by line.  Any other
-    text returns None.
+    text, such as a byte outside ASCII or another line break, returns None.
     """
     # the leading spaces keep every digit window below inside the buffer
-    raw = "".join((" " * _MAX_DIGITS, "\n".join(lines), " ")).encode("ascii", "replace")
+    raw = b" " * _MAX_DIGITS + body
     cls = np.frombuffer(raw.translate(_CLASS), dtype=np.uint8)
     if (cls[:-1] * 5 + cls[1:]).tobytes().translate(None, _PAIRS):
         return None
@@ -343,10 +351,9 @@ def _parse_columns(lines: list[str]):
             at += 1
         np.negative(value, out=value, where=signed & (buf[sign_at] == 45))
         columns.append(value)
-    offsets = np.empty(len(lines) + 1, dtype=np.int64)
-    offsets[0] = 0
-    offsets[1:-1] = np.searchsorted(colon, np.flatnonzero(buf == 10))
-    offsets[-1] = len(colon)
+    line_ends = np.flatnonzero(buf == 10)
+    offsets = np.zeros(len(line_ends) + 1, dtype=np.int64)
+    offsets[1:] = np.searchsorted(colon, line_ends)
     return offsets, columns[0], columns[1]
 
 
@@ -360,8 +367,34 @@ def _bad_token(lines: list[str]) -> StreamFormatError:
     raise AssertionError("_parse_columns rejected text that matches the grammar")
 
 
+def _parse(header_line: str, body: bytes) -> Stream | None:
+    """The stream of a header line and its data lines, each ended by "\\n"
+    in ``body``, or None if ``_parse_columns`` rejects the body."""
+    header = header_line.split()
+    if len(header) != 5 or header[0] != "dstream" or header[1] != "1":
+        raise StreamFormatError(f"bad .dstream header: {header_line!r}")
+    try:
+        d, T = int(header[2]), int(header[3])
+    except ValueError:
+        raise StreamFormatError(f"non-integer d/T in header: {header_line!r}")
+    model = header[4]
+    if model not in _MODELS:
+        raise StreamFormatError(f"unknown model {model!r} in header")
+    n_lines = body.count(b"\n")
+    if n_lines > T:
+        raise StreamFormatError(f"{n_lines} data lines exceed declared T={T}")
+    columns = _parse_columns(body)
+    if columns is None:
+        return None
+    try:
+        return Stream.from_columns(d, T, model, *columns)
+    except StreamFormatError as exc:  # the batch count was checked above
+        raise StreamFormatError(f"line {exc.step + 1}: {exc}") from None
+
+
 def loads(text: str) -> Stream:
-    """Parse ``.dstream`` text straight into the arrays (``_parse_columns``).
+    """Parse ``.dstream`` text, split into lines by ``str.splitlines``,
+    straight into the arrays (``_parse_columns``).
 
     Text with a token that does not match ``_TOKEN`` raises the first such
     token's error; a bad batch raises its step's error.  Errors name the
@@ -370,28 +403,10 @@ def loads(text: str) -> Stream:
     lines = text.splitlines()
     if not lines:
         raise StreamFormatError("empty .dstream input")
-    header = lines[0].split()
-    if len(header) != 5 or header[0] != "dstream" or header[1] != "1":
-        raise StreamFormatError(f"bad .dstream header: {lines[0]!r}")
-    try:
-        d, T = int(header[2]), int(header[3])
-    except ValueError:
-        raise StreamFormatError(f"non-integer d/T in header: {lines[0]!r}")
-    model = header[4]
-    if model not in _MODELS:
-        raise StreamFormatError(f"unknown model {model!r} in header")
-    data_lines = lines[1:]
-    if len(data_lines) > T:
-        raise StreamFormatError(
-            f"{len(data_lines)} data lines exceed declared T={T}"
-        )
-    columns = _parse_columns(data_lines)
-    if columns is None:
-        raise _bad_token(data_lines)
-    try:
-        return Stream.from_columns(d, T, model, *columns)
-    except StreamFormatError as exc:  # the batch count was checked above
-        raise StreamFormatError(f"line {exc.step + 1}: {exc}") from None
+    stream = _parse(lines[0], "\n".join([*lines[1:], ""]).encode("ascii", "replace"))
+    if stream is None:
+        raise _bad_token(lines[1:])
+    return stream
 
 
 def write_file(stream: Stream, path) -> None:
@@ -400,5 +415,21 @@ def write_file(stream: Stream, path) -> None:
 
 
 def read_file(path) -> Stream:
-    with open(path) as fh:
-        return loads(fh.read())
+    """Read a ``.dstream`` file as bytes, which go straight to the column
+    parser.  Text it rejects (another line break, a byte outside ASCII, a bad
+    token or header) is decoded as UTF-8, whatever the locale, and read by
+    ``loads``, which gives the same stream or error as for that text."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    first, _, body = data.partition(b"\n")
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    header_line = first.decode("latin-1")
+    if first.isascii() and header_line.splitlines() == [header_line]:
+        try:
+            stream = _parse(header_line, body)
+        except StreamFormatError:  # loads raises it too, once the text decodes
+            stream = None
+        if stream is not None:
+            return stream
+    return loads(data.decode("utf-8"))

@@ -1,10 +1,13 @@
 """End-to-end CLI behavior: subcommands, formats, determinism, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from dpdistinct import cli, harness, stream as streammod
+from dpdistinct import cli, generators, harness, stream as streammod
 from dpdistinct.cli import main
 from dpdistinct.stream import distinct_counts
 
@@ -534,7 +537,7 @@ class TestNoTraceback:
         def out_of_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 8.00 TiB")
 
-        monkeypatch.setattr(cli.generators, generator, out_of_memory)
+        monkeypatch.setattr(generators, generator, out_of_memory)
         rc = main(["generate", *argv, "-o", str(tmp_path / "g.dstream")])
         assert rc == 1
         assert capsys.readouterr().err == (
@@ -563,3 +566,31 @@ class TestNoTraceback:
         assert capsys.readouterr().err == (
             "parameter error: dimension d and length bound T must be below 2^63\n"
         )
+
+
+def run_child(*argv, **env):
+    """Run the interpreter on argv with the package on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, **env},
+    )
+
+
+class TestChildProcess:
+    def test_importing_cli_leaves_generators_unimported(self):
+        code = "import sys, dpdistinct.cli; print('dpdistinct.generators' in sys.modules)"
+        child = run_child("-c", code)
+        assert (child.returncode, child.stdout, child.stderr) == (0, "False\n", "")
+
+    def test_stream_is_decoded_as_utf8_whatever_the_locale(self, tmp_path, capsys):
+        # U+2028 is a line break for str.splitlines; the file holds its UTF-8 bytes
+        path = tmp_path / "s.dstream"
+        path.write_bytes("dstream 1 4 4 likes\n1:+1\u20282:+1\n".encode("utf-8"))
+        argv = ["run", "--input", str(path), "--mechanism", "zero"]
+        child = run_child("-m", "dpdistinct.cli", *argv,
+                          PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+        assert (child.returncode, child.stderr) == (0, "")
+        assert main(["run", "--input", write_stream(tmp_path, text="dstream 1 4 4 likes\n1:+1\n2:+1\n"),
+                     "--mechanism", "zero"]) == 0
+        assert child.stdout == capsys.readouterr().out

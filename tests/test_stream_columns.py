@@ -230,12 +230,57 @@ TAIL = st.one_of(
 def test_column_parser_accepts_exactly_the_grammar(text, tail):
     lines = (text + tail).splitlines()[1:]
     bad = first_bad_token(lines)
-    assert (streammod._parse_columns(lines) is None) == (bad is not None)
+    body = "".join(line + "\n" for line in lines).encode("ascii", "replace")
+    assert (streammod._parse_columns(body) is None) == (bad is not None)
     if bad is not None:
         body = "\n".join([f"dstream 1 7 {len(lines)} general", *lines])
         with pytest.raises(StreamFormatError) as info:
             streammod.loads(body)
         assert str(info.value) == "bad token %r on line %d" % bad
+
+
+# the line breaks of str.splitlines other than "\n", and three characters that
+# str.split splits at but str.splitlines does not
+OTHER_BREAKS = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SPACES = ["\x1f", "\xa0", "\u3000"]
+
+
+@st.composite
+def dstream_files(draw):
+    """The UTF-8 bytes of a dstream_texts() text, maybe with a TAIL, where up
+    to two of OTHER_BREAKS or SPACES are put into the header line, up to two
+    of the body's "\\n" become another break, and one or two arbitrary bytes
+    (often not UTF-8) may be inserted anywhere."""
+    header, _, body = (draw(dstream_texts()) + draw(st.just("") | TAIL)).partition("\n")
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.sampled_from([i for i, c in enumerate(header) if c == " "] + [len(header)]))
+        char = draw(st.sampled_from(OTHER_BREAKS + SPACES))
+        header = header[:at] + char + header[at + draw(st.integers(0, 1)):]
+    body = body.replace("\n", draw(st.sampled_from(OTHER_BREAKS)), draw(st.integers(0, 2)))
+    data = f"{header}\n{body}".encode("utf-8")
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1]))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=2)) + data[at:]
+    return data
+
+
+def assert_equal_streams(a, b):
+    assert (a.d, a.T, a.model, a.violation, a.singleton) == (b.d, b.T, b.model, b.violation, b.singleton)
+    for name in ("offsets", "items", "deltas", "counts"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tolist() == y.tolist()
+
+
+@SETTINGS
+@given(dstream_files())
+def test_read_file_matches_loads(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "read_file.dstream"
+    path.write_bytes(data)
+    got, got_err = outcome(streammod.read_file, path)
+    want, want_err = outcome(lambda: streammod.loads(data.decode("utf-8")))
+    assert got_err == want_err
+    if want is not None:
+        assert_equal_streams(got, want)
 
 
 @pytest.mark.parametrize(
