@@ -135,7 +135,7 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def cmd_generate(args) -> int:
-    from . import generators  # only here, so that other subcommands skip compiling it
+    from . import generators  # imported here only, so that other subcommands do not load it
 
     d = args.m if args.d is None else args.d  # blocks and multiupdate: d = m by default
     try:

@@ -367,9 +367,10 @@ def _bad_token(lines: list[str]) -> StreamFormatError:
     raise AssertionError("_parse_columns rejected text that matches the grammar")
 
 
-def _parse(header_line: str, body: bytes) -> Stream | None:
-    """The stream of a header line and its data lines, each ended by "\\n"
-    in ``body``, or None if ``_parse_columns`` rejects the body."""
+def _parse(header_line: str, body: bytes):
+    """Check a header line, then parse its data lines, each ended by "\\n"
+    in ``body``: (d, T, model, columns), columns None if ``_parse_columns``
+    rejects the body."""
     header = header_line.split()
     if len(header) != 5 or header[0] != "dstream" or header[1] != "1":
         raise StreamFormatError(f"bad .dstream header: {header_line!r}")
@@ -383,12 +384,14 @@ def _parse(header_line: str, body: bytes) -> Stream | None:
     n_lines = body.count(b"\n")
     if n_lines > T:
         raise StreamFormatError(f"{n_lines} data lines exceed declared T={T}")
-    columns = _parse_columns(body)
-    if columns is None:
-        return None
+    return d, T, model, _parse_columns(body)
+
+
+def _build(d: int, T: int, model: str, columns) -> Stream:
+    """The one validation pass, its errors naming the line."""
     try:
         return Stream.from_columns(d, T, model, *columns)
-    except StreamFormatError as exc:  # the batch count was checked above
+    except StreamFormatError as exc:  # the batch count was checked by _parse
         raise StreamFormatError(f"line {exc.step + 1}: {exc}") from None
 
 
@@ -403,10 +406,11 @@ def loads(text: str) -> Stream:
     lines = text.splitlines()
     if not lines:
         raise StreamFormatError("empty .dstream input")
-    stream = _parse(lines[0], "\n".join([*lines[1:], ""]).encode("ascii", "replace"))
-    if stream is None:
+    body = "\n".join([*lines[1:], ""]).encode("ascii", "replace")
+    d, T, model, columns = _parse(lines[0], body)
+    if columns is None:
         raise _bad_token(lines[1:])
-    return stream
+    return _build(d, T, model, columns)
 
 
 def write_file(stream: Stream, path) -> None:
@@ -427,9 +431,9 @@ def read_file(path) -> Stream:
     header_line = first.decode("latin-1")
     if first.isascii() and header_line.splitlines() == [header_line]:
         try:
-            stream = _parse(header_line, body)
+            d, T, model, columns = _parse(header_line, body)
         except StreamFormatError:  # loads raises it too, once the text decodes
-            stream = None
-        if stream is not None:
-            return stream
+            columns = None
+        if columns is not None:  # then the whole file is ASCII
+            return _build(d, T, model, columns)
     return loads(data.decode("utf-8"))

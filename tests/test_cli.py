@@ -587,10 +587,10 @@ class TestChildProcess:
         # U+2028 is a line break for str.splitlines; the file holds its UTF-8 bytes
         path = tmp_path / "s.dstream"
         path.write_bytes("dstream 1 4 4 likes\n1:+1\u20282:+1\n".encode("utf-8"))
-        argv = ["run", "--input", str(path), "--mechanism", "zero"]
-        child = run_child("-m", "dpdistinct.cli", *argv,
+        child = run_child("-m", "dpdistinct.cli", "run", "--input", str(path),
+                          "--mechanism", "zero",
                           PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
         assert (child.returncode, child.stderr) == (0, "")
-        assert main(["run", "--input", write_stream(tmp_path, text="dstream 1 4 4 likes\n1:+1\n2:+1\n"),
-                     "--mechanism", "zero"]) == 0
+        lf = write_stream(tmp_path, "lf.dstream", "dstream 1 4 4 likes\n1:+1\n2:+1\n")
+        assert main(["run", "--input", lf, "--mechanism", "zero"]) == 0
         assert child.stdout == capsys.readouterr().out

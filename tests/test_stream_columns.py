@@ -5,7 +5,9 @@ documented grammar (``GRAMMAR``), and ``reference_index`` the per-batch
 validation loop that the columnar constructor replaced.  For every input,
 the columnar code must build the same stream (batches, counts, total and
 largest flippancy, violation, singleton, and the ``.dstream`` text) or raise
-the same exception class with the same message.
+the same exception class with the same message.  ``read_file``, which hands
+a file's bytes to the parser, must give what ``loads`` gives for the bytes
+decoded as UTF-8.
 """
 
 import re
@@ -265,7 +267,8 @@ def dstream_files(draw):
 
 
 def assert_equal_streams(a, b):
-    assert (a.d, a.T, a.model, a.violation, a.singleton) == (b.d, b.T, b.model, b.violation, b.singleton)
+    fields = ("d", "T", "model", "violation", "singleton")
+    assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
     for name in ("offsets", "items", "deltas", "counts"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.tolist() == y.tolist()
