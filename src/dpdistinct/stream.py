@@ -45,9 +45,6 @@ LIKES = "likes"
 _MODELS = (GENERAL, LIKES)
 
 
-_RADIX_MIN = 1024  # updates; below this, checking the ids' range costs more than it saves
-
-
 class Stream:
     """A turnstile input stream, validated once at construction.
 
@@ -109,7 +106,7 @@ class Stream:
         sizes = offsets[1:] - offsets[:-1]
         step = np.arange(len(sizes)).repeat(sizes)
         key = items
-        if n >= _RADIX_MIN and self.d < 2**16 and items.min() >= 0 and items.max() < 2**16:
+        if n and items.min() >= 0 and items.max() < 2**16:
             key = items.astype(np.uint16)  # numpy radix-sorts 16-bit keys; no id wraps
         order = key.argsort(kind="stable")  # by item, then by step
         item_s, step_s, delta_s = items[order], step[order], deltas[order]

@@ -338,6 +338,29 @@ def test_batches_match_reference(d, model, batches):
         assert_same_stream(got, d, len(batches), model, batches, want)
 
 
+TOP = 2**16 - 1  # the largest id that _index sorts as a 16-bit key
+
+
+@pytest.mark.parametrize("d", [TOP - 1, TOP + 2])
+@pytest.mark.parametrize("model", ["general", "likes"])
+@pytest.mark.parametrize(
+    "batches",
+    [
+        [[(TOP, 1), (1, 1)], [(1, 1)], [(TOP, -1)]],  # likes violation, or TOP > d
+        [[(2, 1)], [(0, 1), (TOP, 1)]],  # item 0
+        [[(TOP, 1), (3, 1), (TOP, -1)]],  # an item twice in one step
+        [[(4, 1)], [(7, 2)]],  # a delta of 2
+        [[(TOP + 1, 1), (5, 1)], [(5, 1)], [(TOP + 1, -1)]],  # an id past 16 bits
+    ],
+)
+def test_ids_at_the_16_bit_boundary_match_reference(d, model, batches):
+    got, got_err = outcome(Stream, d, len(batches), model, batches)
+    want, want_err = outcome(reference_index, d, len(batches), model, batches)
+    assert got_err == want_err
+    if want is not None:
+        assert_same_stream(got, d, len(batches), model, batches, want)
+
+
 @pytest.mark.parametrize("bad", [(1.5, 1), (1, 1.0), ("1", 1)])
 def test_non_integer_updates_are_rejected(bad):
     with pytest.raises(TypeError):
