@@ -44,6 +44,8 @@ GENERAL = "general"
 LIKES = "likes"
 _MODELS = (GENERAL, LIKES)
 
+_RADIX_MIN = 512  # updates; below this, the int64 sort beats the range check and radix sort
+
 
 class Stream:
     """A turnstile input stream, validated once at construction.
@@ -106,7 +108,7 @@ class Stream:
         sizes = offsets[1:] - offsets[:-1]
         step = np.arange(len(sizes)).repeat(sizes)
         key = items
-        if n and items.min() >= 0 and items.max() < 2**16:
+        if n >= _RADIX_MIN and items.min() >= 0 and items.max() < 2**16:
             key = items.astype(np.uint16)  # numpy radix-sorts 16-bit keys; no id wraps
         order = key.argsort(kind="stable")  # by item, then by step
         item_s, step_s, delta_s = items[order], step[order], deltas[order]

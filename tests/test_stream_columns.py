@@ -339,21 +339,27 @@ def test_batches_match_reference(d, model, batches):
 
 
 TOP = 2**16 - 1  # the largest id that _index sorts as a 16-bit key
+# valid steps that leave every count at 0: enough updates for the radix sort,
+# on ids that a key narrower than 16 bits would merge (i and i + 256)
+PAD = [[(i, s), (i + 256, s)] for i in range(1, streammod._RADIX_MIN // 4 + 1) for s in (1, -1)]
 
 
+@pytest.mark.parametrize("pad", [[], PAD], ids=["int64-sort", "radix-sort"])
 @pytest.mark.parametrize("d", [TOP - 1, TOP + 2])
 @pytest.mark.parametrize("model", ["general", "likes"])
 @pytest.mark.parametrize(
-    "batches",
+    "tail",
     [
         [[(TOP, 1), (1, 1)], [(1, 1)], [(TOP, -1)]],  # likes violation, or TOP > d
         [[(2, 1)], [(0, 1), (TOP, 1)]],  # item 0
+        [[(3, 1)], [(TOP, 1), (-1, 1)]],  # a negative item
         [[(TOP, 1), (3, 1), (TOP, -1)]],  # an item twice in one step
         [[(4, 1)], [(7, 2)]],  # a delta of 2
         [[(TOP + 1, 1), (5, 1)], [(5, 1)], [(TOP + 1, -1)]],  # an id past 16 bits
     ],
 )
-def test_ids_at_the_16_bit_boundary_match_reference(d, model, batches):
+def test_ids_at_the_16_bit_boundary_match_reference(pad, d, model, tail):
+    batches = pad + tail
     got, got_err = outcome(Stream, d, len(batches), model, batches)
     want, want_err = outcome(reference_index, d, len(batches), model, batches)
     assert got_err == want_err
