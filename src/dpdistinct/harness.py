@@ -28,7 +28,6 @@ RunFn = Callable[[RandomSource, Stream], RunResult]
 
 @dataclass
 class TrialReport:
-    per_step_error: list[float]
     max_error: float
 
 
@@ -40,12 +39,9 @@ def release_errors(result: RunResult, stream: Stream) -> tuple[np.ndarray, np.nd
 
 
 def evaluate(result: RunResult, stream: Stream) -> TrialReport:
-    """Per-step absolute error of a run against the exact oracle."""
+    """The largest absolute error of a run against the exact oracle."""
     _, errors = release_errors(result, stream)
-    return TrialReport(
-        per_step_error=errors.tolist(),
-        max_error=float(errors.max(initial=0.0)),
-    )
+    return TrialReport(max_error=float(errors.max(initial=0.0)))
 
 
 @dataclass

@@ -17,13 +17,14 @@ from the validated ``Stream`` (``Stream.counts``, a read-only int64 array)
 and no runner replays the batches.  One segment scanner (``_scan``) drives
 every known-K instance, frozen ones included.  Between refreshes the released
 value is constant, so it tests a whole window of steps at once: it reads the
-per-step noise mu_t for the window from a ``LaplaceTape``, finds the first
-step with |out - q_t| + mu_t > thresh + tau in one numpy pass, releases the
-constant value for the quiet steps before it, and refreshes there with the
-next two draws of the tape.  A step whose test lies within a tiny slack of
-the threshold is decided again with the scalar draw, so the scan releases,
-fires and aborts exactly where stepping ``KnownKMechanism.step_count``
-would, and leaves the source with the same draw counts and next draw.
+per-step noise mu_t for the window ahead from the instance's source
+(``RandomSource.ahead``), finds the first step with
+|out - q_t| + mu_t > thresh + tau in one numpy pass, releases the constant
+value for the quiet steps before it, and refreshes there with the source's
+next two draws.  A step whose test lies within a tiny slack of the threshold
+is decided again with the exact draw, so the scan releases, fires and aborts
+exactly where stepping ``KnownKMechanism.step_count`` would, and leaves the
+source with the same draw counts and next draw.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import stream as streammod
 from .errors import ParameterError
-from .noise import UNIT_BOUND, LaplaceTape, RandomSource
+from .noise import UNIT_BOUND, RandomSource
 from .stream import Stream, UpdateBatch, apply_batch, require_valid
 from .svt import fires, mu_scale, threshold_noise
 
@@ -133,9 +134,10 @@ class KnownKMechanism:
     value: the threshold test and abort bookkeeping run unchanged against the
     externally supplied frozen estimate.
 
-    The runners do not call ``step_count``: ``_scan`` tests many steps at
-    once and calls ``fired`` at each step where the rule fires, which leaves
-    the same state as stepping would.
+    The runners do not call ``step_count``: ``_scan`` reads the per-step
+    draws of many steps at once from the same source, takes them, and calls
+    ``fired`` at each step where the rule fires, which leaves the same state
+    as stepping would.
     """
 
     def __init__(
@@ -169,18 +171,18 @@ class KnownKMechanism:
             raise MechanismAborted("step after abort")
         cfg = self.config
         if fires(abs(self.out - q), cfg.thresh, self.tau, cfg.eps1, self._src):
-            self.fired(q, self._src)
+            self.fired(q)
         return self.out
 
-    def fired(self, q: int, noise) -> None:
-        """The rule fired at live count q: refresh with two draws from
-        ``noise`` (a ``RandomSource`` or a ``LaplaceTape``), or abort."""
+    def fired(self, q: int) -> None:
+        """The rule fired at live count q: refresh with the source's next
+        two draws, or abort."""
         cfg = self.config
         self.yes_events += 1
         if self.count < cfg.S_K:
             self.count += 1
-            self.tau = threshold_noise(cfg.eps1, noise)
-            nu = noise.laplace(1.0 / cfg.eps1)
+            self.tau = threshold_noise(cfg.eps1, self._src)
+            nu = self._src.laplace(1.0 / cfg.eps1)
             if not self.freeze:
                 self.out = q + nu
             if self.count >= cfg.S_K:
@@ -205,36 +207,36 @@ def _scan(mech: KnownKMechanism, q: np.ndarray, t: int, outputs: list[float]) ->
     n = len(q)
     qmax = int(q[t:].max()) if t < n else 0
     w = _FIRST_WINDOW
-    with LaplaceTape(mech._src) as tape:
-        while t < n and not mech.aborted:
-            h = min(w, n - t)
-            out = mech.out
-            rhs = cfg.thresh + mech.tau
-            lhs = np.abs(out - q[t : t + h])
-            lhs += b * tape.ahead(h)
-            # np.log is within a few ulps of math.log; the slack, 2^-40 of a
-            # bound on every term, keeps each step that could fire
-            slack = 2.0**-40 * (abs(rhs) + abs(out) + qmax + b * UNIT_BOUND)
-            fire = next(
-                (
-                    i
-                    for i in np.flatnonzero(lhs > rhs - slack).tolist()
-                    if abs(out - q.item(t + i)) + tape.exact(i, b) > rhs
-                ),
-                None,
-            )
-            if fire is None:
-                outputs.extend([out] * h)
-                tape.take(h)
-                t += h
-                w *= 2
-                continue
-            outputs.extend([out] * fire)
-            tape.take(fire + 1)
-            t += fire + 1
-            mech.fired(q.item(t - 1), tape)
-            outputs.append(mech.out)
-            w = _FIRST_WINDOW
+    src = mech._src
+    while t < n and not mech.aborted:
+        h = min(w, n - t)
+        out = mech.out
+        rhs = cfg.thresh + mech.tau
+        lhs = np.abs(out - q[t : t + h])
+        lhs += b * src.ahead(h)
+        # np.log is within a few ulps of math.log; the slack, 2^-40 of a
+        # bound on every term, keeps each step that could fire
+        slack = 2.0**-40 * (abs(rhs) + abs(out) + qmax + b * UNIT_BOUND)
+        fire = next(
+            (
+                i
+                for i in np.flatnonzero(lhs > rhs - slack).tolist()
+                if abs(out - q.item(t + i)) + src.exact(i, b) > rhs
+            ),
+            None,
+        )
+        if fire is None:
+            outputs.extend([out] * h)
+            src.take(h)
+            t += h
+            w *= 2
+            continue
+        outputs.extend([out] * fire)
+        src.take(fire + 1)
+        t += fire + 1
+        mech.fired(q.item(t - 1))
+        outputs.append(mech.out)
+        w = _FIRST_WINDOW
     return t
 
 
@@ -343,6 +345,13 @@ def run_unknown_k_all_bounds(
     the per-step Laplace/Gaussian baseline (if err_T is).  Instances whose
     K_j is below B_j run in frozen mode: the released value stays at the
     latest boundary refresh for the whole instance.
+
+    Instance j gets eps_j = 12*eps/(pi^2 j^2), delta_j = 6*delta/(pi^2 j^2)
+    and beta_j = 12*beta/(pi^2 j^2).  Over all j these sum to 2*eps, delta
+    and 2*beta, where ``run_unknown_k``'s schedule sums to eps.  Each
+    boundary refresh also draws Lap(1/eps_j), and a fallback baseline spends
+    the full eps.  The argument that this composes to the claimed eps is
+    still open (ROADMAP item 1).
     """
     _check_T_beta(T, beta)
     d = stream.d

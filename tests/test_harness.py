@@ -10,6 +10,7 @@ from dpdistinct.harness import (
     default_projection_step,
     evaluate,
     privacy_probe,
+    release_errors,
     run_trials,
     theoretical_bound,
     throughput_bench,
@@ -32,15 +33,14 @@ class TestEvaluate:
     def test_exact_run_has_zero_error(self):
         s = random_stream(4, 10, target_K=8, seed=0)
         result = RunResult(outputs=[float(q) for q in distinct_counts(s)])
-        report = evaluate(result, s)
-        assert report.max_error == 0.0
-        assert report.per_step_error == [0.0] * 10
+        assert evaluate(result, s).max_error == 0.0
+        assert release_errors(result, s)[1].tolist() == [0.0] * 10
 
     def test_known_offsets(self):
         s = Stream(d=2, T=2, model="likes", batches=[[(1, 1)], [(2, 1)]])
-        report = evaluate(RunResult(outputs=[0.0, 3.5]), s)
-        assert report.per_step_error == [1.0, 1.5]
-        assert report.max_error == 1.5
+        result = RunResult(outputs=[0.0, 3.5])
+        assert release_errors(result, s)[1].tolist() == [1.0, 1.5]
+        assert evaluate(result, s).max_error == 1.5
 
 
 PURE, APPROX = PrivacyParams(1.0), PrivacyParams(0.5, 0.01)
@@ -61,9 +61,9 @@ def test_evaluate_and_run_trials_agree(name):
     s = random_stream(16, 120, model="likes", target_K=400, seed=4)
     summary = run_trials(run_fn, s, 4, base_seed=9)
     for k, max_error in enumerate(summary.max_errors):
-        report = evaluate(run_fn(RandomSource(child_seed(9, k)), s), s)
-        assert report.max_error == max_error
-        assert report.max_error == max(report.per_step_error)
+        result = run_fn(RandomSource(child_seed(9, k)), s)
+        assert evaluate(result, s).max_error == max_error
+        assert max_error == max(release_errors(result, s)[1].tolist())
 
 
 class TestRunTrials:

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpdistinct import ParameterError, RandomSource, child_seed
-from dpdistinct.noise import LaplaceTape
+from dpdistinct.noise import _BLOCK
 
 
 class TestDeterminism:
@@ -81,14 +83,18 @@ class TestValidation:
 
 
 class _Uniforms:
-    """Generator stub that hands out a fixed sequence of uniforms."""
+    """Generator stub that hands out a fixed sequence of uniforms; it raises
+    when asked for more than it holds."""
+
+    state = None
 
     def __init__(self, values):
         self.values = list(values)
+        self.bit_generator = self
 
-    def random(self, size=None):
-        if size is None:
-            return self.values.pop(0)
+    def random(self, size):
+        if size > len(self.values):
+            raise IndexError(f"stub asked for {size} of {len(self.values)} uniforms")
         out, self.values = np.array(self.values[:size]), self.values[size:]
         return out
 
@@ -98,7 +104,7 @@ class TestZeroUniform:
 
     def test_scalar_redraws(self):
         src = RandomSource(0)
-        src._rng = _Uniforms([0.0, 0.75, 0.25])
+        src._rng = _Uniforms([0.0, 0.75, 0.25] + [0.5] * _BLOCK)
         assert src.laplace(2.0) == pytest.approx(-2.0 * math.log(2))
         assert src.laplace(2.0) == pytest.approx(2.0 * math.log(2))
         assert src.laplace_draws == 2
@@ -108,15 +114,92 @@ class TestZeroUniform:
         u = np.random.default_rng(7).random(1000) - 0.5
         scalar = [-math.copysign(math.log(1.0 - 2.0 * abs(v)), v) for v in u.tolist()]
         assert [src.laplace(1.0) for _ in range(1000)] == scalar
-        with LaplaceTape(RandomSource(7)) as tape:
-            tape.ahead(1000)
-            assert [tape.exact(i, 1.0) for i in range(1000)] == scalar
+        src = RandomSource(7)
+        src.ahead(1000)
+        assert [src.exact(i, 1.0) for i in range(1000)] == scalar
+
+
+def _ref_laplace(u: float, b: float) -> float:
+    return -b * math.copysign(math.log(1.0 - 2.0 * abs(u - 0.5)), u - 0.5)
+
+
+def _ref_uniforms(rng: np.random.Generator, n: int) -> list[float]:
+    """The next n uniforms of scalar random() calls, 0.0 skipped."""
+    out = []
+    while len(out) < n:
+        r = rng.random()
+        if r != 0.0:
+            out.append(r)
+    return out
+
+
+OPS = st.one_of(
+    st.tuples(st.just("laplace"), st.sampled_from([0.5, 1.0, 7.0])),
+    st.tuples(st.just("gaussian"), st.sampled_from([0.5, 3.0])),
+    # ahead(n), exact(i, b) at a few i < n, then take(k) with k <= n
+    st.tuples(
+        st.just("scan"),
+        st.integers(1, 2 * _BLOCK + 10),
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.25, 4.0]),
+    ),
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    ops=st.lists(OPS, max_size=12),
+    mode=st.sampled_from(["live", "zero"]),
+    seed=st.integers(0, 2**32),
+)
+def test_source_matches_raw_generator(ops, mode, seed):
+    """Any mix of scalar, read-ahead and Gaussian draws gives the values and
+    counts of one scalar random() per Laplace draw and one standard_normal()
+    per Gaussian draw on a raw generator."""
+    live = mode == "live"
+    src = RandomSource(seed, mode)
+    ref = np.random.default_rng(seed)
+    calls = gaussians = 0
+    for op in ops:
+        if op[0] == "laplace":
+            want = _ref_laplace(_ref_uniforms(ref, 1)[0], op[1]) if live else 0.0
+            assert src.laplace(op[1]) == want
+            calls += 1
+        elif op[0] == "gaussian":
+            want = op[1] * ref.standard_normal() if live else 0.0
+            assert src.gaussian(op[1]) == want
+            gaussians += 1
+        else:
+            _, n, frac, b = op
+            k = int(frac * n)
+            unit = src.ahead(n)
+            if live:
+                state = ref.bit_generator.state
+                us = _ref_uniforms(ref, n)
+                ref.bit_generator.state = state
+                want = [_ref_laplace(u, 1.0) for u in us]
+                np.testing.assert_allclose(unit, want, rtol=1e-13)  # np.log's ulps
+                for i in {0, n // 2, k - 1 if k else 0, n - 1}:
+                    assert src.exact(i, b) == _ref_laplace(us[i], b)
+                _ref_uniforms(ref, k)
+            else:
+                assert not unit.any() and src.exact(n - 1, b) == 0.0
+            src.take(k)
+            calls += k
+    live_calls, live_gaussians = (calls, gaussians) if live else (0, 0)
+    assert (src.laplace_calls, src.laplace_draws) == (calls, live_calls)
+    assert (src.gaussian_calls, src.gaussian_draws) == (gaussians, live_gaussians)
+    if live:
+        assert src.laplace(1.0) == _ref_laplace(_ref_uniforms(ref, 1)[0], 1.0)
+        assert src.gaussian(1.0) == ref.standard_normal()
+        assert src._rng.random() == ref.random()
+    else:
+        assert "_rng" not in vars(src)
 
 
 def laplace_draws(seed: int, b: float, n: int) -> np.ndarray:
-    """n Lap(b) draws read ahead through a tape, as the segment scanner does."""
-    with LaplaceTape(RandomSource(seed)) as tape:
-        return b * tape.ahead(n)
+    """n Lap(b) draws read ahead, as the segment scanner does."""
+    return b * RandomSource(seed).ahead(n)
 
 
 def gaussian_draws(seed: int, sigma: float, n: int) -> np.ndarray:

@@ -5,8 +5,9 @@
 the same values, fire and abort at the same steps, count the same draws and
 leave the source at the same next draw.  The runner tests swap the scanner
 for ``step_loop`` to build the reference run, so unknown-K chains,
-frozen all-bounds instances and fallbacks after an instance (where the
-scanner has to rewind the generator) are compared end to end.
+frozen all-bounds instances and fallbacks after an instance (where a
+Gaussian draw has to rewind the generator past the scanner's look-ahead) are
+compared end to end.
 """
 
 from unittest import mock
@@ -27,7 +28,7 @@ from dpdistinct.mechanisms import (
     run_unknown_k,
     run_unknown_k_all_bounds,
 )
-from dpdistinct.noise import LaplaceTape
+from dpdistinct.noise import _BLOCK
 
 SETTINGS = settings(
     max_examples=300,
@@ -195,8 +196,8 @@ def test_frozen_instances():
 def test_fallback_after_an_instance(pp, beta, d, T, kind):
     # all d items arrive at step 1: instance 1 fires there and aborts, and the
     # comparison before instance 2 picks the baseline.  The scanner read
-    # uniforms past the abort, so it must rewind before the boundary refresh
-    # and the baseline draws.
+    # uniforms past the abort: the boundary refresh and the Laplace baseline
+    # take them next, and the Gaussian baseline must rewind past them.
     batches = [[(i, 1) for i in range(1, d + 1)]] + [[] for _ in range(T - 1)]
     s = Stream(d=d, T=T, model="likes", batches=batches)
     for seed in range(10):
@@ -205,19 +206,24 @@ def test_fallback_after_an_instance(pp, beta, d, T, kind):
 
 
 class _StubGenerator:
-    """A generator handing out fixed uniforms, with a rewindable position."""
+    """A generator handing out fixed uniforms, with a rewindable position;
+    it raises when asked for more uniforms than it holds, and its normal
+    draws are 0.0."""
 
     def __init__(self, values):
         self.values = list(values)
         self.state = 0
         self.bit_generator = self
 
-    def random(self, size=None):
-        if size is None:
-            self.state += 1
-            return self.values[self.state - 1]
+    def random(self, size):
+        if self.state + size > len(self.values):
+            raise IndexError(f"stub asked for {size} uniforms past {self.state}")
         self.state += size
         return np.array(self.values[self.state - size : self.state])
+
+    def standard_normal(self):
+        self.state += 1
+        return 0.0
 
     def advance(self, k):
         self.state += k
@@ -231,11 +237,10 @@ def _disagreements(b=4.0, block=64):
     for _ in range(200):
         r = rng.random(block) * 0.5
         src = RandomSource(0)
-        src._rng = _StubGenerator(r)
-        tape = LaplaceTape(src)
-        vector = b * tape.ahead(block)
+        src._rng = _StubGenerator(list(r) + [0.5] * _BLOCK)
+        vector = b * src.ahead(block)
         for i, v in enumerate(vector.tolist()):
-            exact = tape.exact(i, b)
+            exact = src.exact(i, b)
             if v != exact:
                 found.setdefault(v > exact, float(r[i]))
         if len(found) == 2:
@@ -252,11 +257,10 @@ def test_threshold_decided_by_scalar_log(vector_above):
     # tau and nu come from uniforms of 0.5 and are -0.0, so the threshold is
     # exactly thresh and the released value 0.0; q = 0 keeps the gap at 0,
     # so step 1 fires exactly when mu_1 > thresh
-    values = [0.5, 0.5, r] + [0.5] * 80
+    values = [0.5, 0.5, r] + [0.5] * _BLOCK
     src = RandomSource(0)
-    src._rng = _StubGenerator(values[2:66])
-    tape = LaplaceTape(src)
-    mu_vector, mu_scalar = 4.0 * tape.ahead(64)[0], tape.exact(0, 4.0)
+    src._rng = _StubGenerator(values[2:])
+    mu_vector, mu_scalar = 4.0 * src.ahead(64)[0], src.exact(0, 4.0)
     assert bool(mu_vector > mu_scalar) is vector_above
     thresh = min(mu_vector, mu_scalar)  # between the two draws
     cfg = KnownKConfig(
@@ -270,6 +274,7 @@ def test_threshold_decided_by_scalar_log(vector_above):
         mech = KnownKMechanism(cfg, None, src)
         outputs = []
         drive(mech, q, 0, outputs)
+        src.gaussian(1.0)  # rewinds to just after the last uniform taken
         runs.append((outputs, mech.yes_events, src.laplace_draws, src._rng.state))
     assert runs[0] == runs[1]
     assert runs[0][1] == (0 if vector_above else 1)  # as math.log decides
@@ -281,7 +286,7 @@ def test_zero_uniform_is_dropped():
     cfg = KnownKConfig(
         eps=1.0, delta=0.0, K=1, T=8, beta=0.1, S_K=4, eps1=1.0, thresh=1.0
     )
-    values = [0.3, 0.6, 0.5, 0.0, 0.001, 0.0, 0.2, 0.7, 0.5, 0.0, 0.5] + [0.5] * 70
+    values = [0.3, 0.6, 0.5, 0.0, 0.001, 0.0, 0.2, 0.7, 0.5, 0.0, 0.5] + [0.5] * _BLOCK
     q = np.array([0, 0, 3, 3, 3, 0, 0, 0], dtype=np.int64)
     runs = []
     for drive in (mechanisms._scan, step_loop):
@@ -290,6 +295,11 @@ def test_zero_uniform_is_dropped():
         mech = KnownKMechanism(cfg, None, src)
         outputs = []
         drive(mech, q, 0, outputs)
+        src.gaussian(1.0)  # rewinds to just after the last uniform taken
         runs.append((outputs, state(mech), src.laplace_draws, src._rng.state))
     assert runs[0] == runs[1]
     assert runs[0][0][1] != runs[0][0][0]  # the step-2 draw 0.001 fired
+    # the rewind lands just after the last uniform taken, zeros counted, and
+    # the normal draw takes one more
+    taken = [i for i, v in enumerate(values) if v != 0.0][: runs[0][2]]
+    assert runs[0][3] == taken[-1] + 2
