@@ -122,8 +122,7 @@ def _load_stream(path: str, args) -> tuple[Stream, int]:
     streammod.require_valid(s)
     if args.T is None:
         return s, s.T
-    if args.T < s.length:  # would understate the length-calibrated sensitivity
-        raise ParameterError(f"--T {args.T} is shorter than the stream ({s.length} steps)")
+    mechanisms.check_T_covers(args.T, s)
     return s, args.T
 
 

@@ -18,17 +18,18 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError
-from .mechanisms import PrivacyParams, RunResult
+from .mechanisms import (
+    PrivacyParams,
+    RunResult,
+    check_T_beta,
+    err_T_branch,
+    flippancy_branch,
+)
 from .noise import RandomSource, child_seed
 # distinct_counts is unused here; it is kept for perfbench/traced.py, which wraps it
 from .stream import Stream, distinct_counts
 
 RunFn = Callable[[RandomSource, Stream], RunResult]
-
-
-@dataclass
-class TrialReport:
-    max_error: float
 
 
 def release_errors(result: RunResult, stream: Stream) -> tuple[np.ndarray, np.ndarray]:
@@ -38,10 +39,10 @@ def release_errors(result: RunResult, stream: Stream) -> tuple[np.ndarray, np.nd
     return outputs, np.abs(outputs - stream.counts[:n])
 
 
-def evaluate(result: RunResult, stream: Stream) -> TrialReport:
+def evaluate(result: RunResult, stream: Stream) -> float:
     """The largest absolute error of a run against the exact oracle."""
     _, errors = release_errors(result, stream)
-    return TrialReport(max_error=float(errors.max(initial=0.0)))
+    return float(errors.max(initial=0.0))
 
 
 @dataclass
@@ -71,8 +72,7 @@ def run_trials(
     max_errors = []
     for k in range(n_trials):
         src = RandomSource(child_seed(base_seed, k), mode)
-        result = run_fn(src, stream)
-        max_errors.append(float(release_errors(result, stream)[1].max(initial=0.0)))
+        max_errors.append(evaluate(run_fn(src, stream), stream))
     ordered = sorted(max_errors)
     quantiles = {
         q: ordered[min(int(q * n_trials), n_trials - 1)] for q in (0.5, 0.9, 0.99)
@@ -103,41 +103,30 @@ def theoretical_bound(
     d: int,
     regime: str = "known",
 ) -> BoundSpec:
-    """All branches of the additive-error minimum, and their minimum.
+    """All branches of the additive-error minimum, and their minimum, with
+    the confidence term ln(2T/beta).
 
     ``regime="unknown"`` applies the extra ln K factor on the flippancy
     branch plus the additive ln^2 K term paid by the doubling wrapper.
     """
-    if T < 1:
-        raise ParameterError(f"T must be >= 1, got {T}")
+    if regime not in ("known", "unknown"):
+        raise ParameterError(f"unknown regime {regime!r}")
+    check_T_beta(T, beta)
     if K < 0:
         raise ParameterError(f"K must be >= 0, got {K}")
     if d < 1:
         raise ParameterError(f"d must be >= 1, got {d}")
-    if not 0 < beta < 1:
-        raise ParameterError(f"beta must be in (0, 1), got {beta}")
     log_term = math.log(2 * T / beta)
     if K == 0:
         return BoundSpec(branches={"zero": 0.0}, minimum=0.0)
-    lnK = max(math.log(K), 1.0)
-    if pp.delta == 0:
-        flip = math.sqrt(K * log_term / pp.eps)
-        err_T = T * log_term / pp.eps
-    else:
-        # eps**2 underflows to 0 for eps < 1e-161, where the branch is past every float
-        flip = (
-            (K * math.log(1 / pp.delta) * log_term**2 / pp.eps**2) ** (1 / 3)
-            if pp.eps**2
-            else math.inf
-        )
-        err_T = math.sqrt(T * math.log(1 / pp.delta) * log_term) / pp.eps
+    flip = flippancy_branch(K, pp.eps, pp.delta, log_term)
+    err_T = err_T_branch(T, pp.eps, pp.delta, log_term)
     branches = {"d": float(d), "K": float(K), "flippancy": flip, "err_T": err_T}
     additive = 0.0
     if regime == "unknown":
+        lnK = max(math.log(K), 1.0)
         branches["flippancy"] = lnK * flip
         additive = lnK**2 * math.log(max(lnK, math.e) / beta) / pp.eps
-    elif regime != "known":
-        raise ValueError(f"unknown regime {regime!r}")
     return BoundSpec(branches=branches, minimum=min(branches.values()) + additive)
 
 

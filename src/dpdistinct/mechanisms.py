@@ -30,7 +30,7 @@ source with the same draw counts and next draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -70,11 +70,36 @@ class KnownKConfig:
     thresh: float
 
 
-def _check_T_beta(T: int, beta: float) -> None:
+def check_T_beta(T: int, beta: float) -> None:
     if T < 1:
         raise ParameterError(f"T must be >= 1, got {T}")
     if not 0 < beta < 1:
         raise ParameterError(f"beta must be in (0, 1), got {beta}")
+
+
+def check_T_covers(T: int, stream: Stream) -> None:
+    """T bounds the stream's length: the noise scales grow with T, so a T
+    shorter than the stream would understate the sensitivity."""
+    if T < stream.length:
+        raise ParameterError(f"T={T} is shorter than the stream ({stream.length} steps)")
+
+
+def flippancy_branch(K: int, eps: float, delta: float, log_term: float) -> float:
+    """The flippancy-parameterized error for confidence term ``log_term``:
+    sqrt(K L/eps) in pure DP, (K ln(1/delta) L^2/eps^2)^(1/3) with delta > 0."""
+    if delta == 0:
+        return math.sqrt(K * log_term / eps)
+    if eps**2 == 0:  # eps < 1e-161: the branch is past every float
+        return math.inf
+    return (K * math.log(1 / delta) * log_term**2 / eps**2) ** (1 / 3)
+
+
+def err_T_branch(T: int, eps: float, delta: float, log_term: float) -> float:
+    """The stream-length error of per-step noise for confidence term
+    ``log_term``: T L/eps in pure DP, sqrt(T ln(1/delta) L)/eps with delta > 0."""
+    if delta == 0:
+        return T * log_term / eps
+    return math.sqrt(T * math.log(1 / delta) * log_term) / eps
 
 
 def _finite(x: float, what: str) -> float:
@@ -96,7 +121,7 @@ def derive_known_k_config(
     """
     if K < 1:
         raise ParameterError(f"K must be >= 1, got {K}")
-    _check_T_beta(T, beta)
+    check_T_beta(T, beta)
     log_term = math.log(2 * T / beta)
     if pp.delta == 0:
         S_K = math.floor(_finite(math.sqrt(K * pp.eps / (18 * log_term)), "S_K")) + 1
@@ -247,7 +272,6 @@ class RunResult:
     instances: int = 1
     abort_step: int | None = None
     fallback: str | None = None
-    instance_indices: list[int] = field(default_factory=list)
 
 
 def run_known_k(
@@ -264,6 +288,7 @@ def run_known_k(
     repeated for the remaining steps and the abort step is reported.
     """
     config = derive_known_k_config(pp, K, T, beta)
+    check_T_covers(T, stream)
     mech = KnownKMechanism(config, None, src)
     outputs: list[float] = []
     t = _scan(mech, stream.counts, 0, outputs)
@@ -289,9 +314,10 @@ def run_unknown_k(
     instance picks up at the live count where the previous one aborted;
     noise state does not carry over.
     """
+    check_T_beta(T, beta)
+    check_T_covers(T, stream)
     counts = stream.counts
     outputs: list[float] = []
-    indices: list[int] = []
     yes_total = 0
     j = 0
     t = 0
@@ -301,22 +327,9 @@ def run_unknown_k(
         pp_j = PrivacyParams(pp.eps * scale, pp.delta * scale)
         config = derive_known_k_config(pp_j, 2**j, T, beta * scale)
         mech = KnownKMechanism(config, None, src)
-        start = t
         t = _scan(mech, counts, t, outputs)
-        indices.extend([j] * (t - start))
         yes_total += mech.yes_events
-    return RunResult(
-        outputs=outputs,
-        yes_events=yes_total,
-        instances=j,
-        instance_indices=indices,
-    )
-
-
-def _err_T(pp: PrivacyParams, beta: float, T: int) -> float:
-    if pp.delta == 0:
-        return T * math.log(T / beta) / pp.eps
-    return math.sqrt(T * math.log(1 / pp.delta) * math.log(T / beta)) / pp.eps
+    return RunResult(outputs=outputs, yes_events=yes_total, instances=j)
 
 
 def _laplace_release(pp: PrivacyParams, T: int, counts, src: RandomSource) -> list[float]:
@@ -353,13 +366,13 @@ def run_unknown_k_all_bounds(
     the full eps.  The argument that this composes to the claimed eps is
     still open (ROADMAP item 1).
     """
-    _check_T_beta(T, beta)
+    check_T_beta(T, beta)
+    check_T_covers(T, stream)
     d = stream.d
     counts = stream.counts
     n = len(counts)
     outputs: list[float] = []
-    indices: list[int] = []
-    err_T = _err_T(pp, beta, T)
+    err_T = err_T_branch(T, pp.eps, pp.delta, math.log(T / beta))
     out = 0.0  # pre-boundary frozen value; data-independent
     t = 0
     j = 0
@@ -372,14 +385,9 @@ def run_unknown_k_all_bounds(
         beta_j = 12 * beta / (math.pi**2 * j**2)
         K_j = 2**j
         log_term_j = math.log(T / beta_j)
-        if pp.delta == 0:
-            B_j = math.sqrt(K_j * log_term_j / eps_j)
-        elif eps_j**2 == 0:  # eps_j < 1e-161: B_j is past every float
-            B_j = math.inf
-        else:
-            B_j = (K_j * math.log(1 / delta_j) * log_term_j**2 / eps_j**2) ** (
-                1 / 3
-            ) + math.sqrt(math.log(1 / delta_j)) * log_term_j / eps_j
+        B_j = flippancy_branch(K_j, eps_j, delta_j, log_term_j)
+        if pp.delta > 0 and B_j < math.inf:  # an infinite B_j stays infinite
+            B_j += math.sqrt(math.log(1 / delta_j)) * log_term_j / eps_j
         if min(K_j, B_j) > min(d, err_T):
             if d <= err_T:
                 fallback = "zero"
@@ -390,7 +398,6 @@ def run_unknown_k_all_bounds(
             else:
                 fallback = "gaussian"
                 outputs.extend(_gaussian_release(pp, T, counts[t:], src))
-            indices.extend([j] * (n - t))
             break
         if pp.delta > 0 and eps_j >= 1:  # only j = 1 can reach this
             raise ParameterError(
@@ -402,9 +409,7 @@ def run_unknown_k_all_bounds(
         config = derive_known_k_config(pp_j, K_j, T, beta_j)
         freeze = K_j < B_j
         mech = KnownKMechanism(config, None, src, freeze=freeze, frozen_out=out)
-        start = t
         t = _scan(mech, counts, t, outputs)
-        indices.extend([j] * (t - start))
         yes_total += mech.yes_events
         # boundary refresh: released value between instances
         out = counts.item(t - 1) + src.laplace(1.0 / eps_j)
@@ -413,7 +418,6 @@ def run_unknown_k_all_bounds(
         yes_events=yes_total,
         instances=j,
         fallback=fallback,
-        instance_indices=indices,
     )
 
 
@@ -425,6 +429,7 @@ def run_laplace_baseline(
     pp: PrivacyParams, T: int, stream: Stream, src: RandomSource
 ) -> RunResult:
     """Per-step Laplace release with the stream-length sensitivity bound."""
+    check_T_covers(T, stream)
     return RunResult(outputs=_laplace_release(pp, T, stream.counts, src))
 
 
@@ -434,6 +439,7 @@ def run_gaussian_baseline(
     """Per-step Gaussian release with the sqrt(T) L2-sensitivity bound."""
     if pp.delta <= 0:
         raise ParameterError("the Gaussian baseline requires delta > 0")
+    check_T_covers(T, stream)
     return RunResult(outputs=_gaussian_release(pp, T, stream.counts, src))
 
 
@@ -457,8 +463,7 @@ def run_continual_likes(
     """
     _require_likes(stream, "the continual-counting baseline")
     PrivacyParams(eps)  # rejects an epsilon that is not positive and finite
-    if T < 1:
-        raise ParameterError(f"T must be >= 1, got {T}")
+    check_T_covers(T, stream)
     scale = T.bit_length() / eps
     # entry 0 is the empty prefix: once a step's nodes are summed, hi stays 0
     # and adds (0 - 0) + 0.0, which leaves the (never -0.0) total unchanged
@@ -492,6 +497,4 @@ def run_event_to_item(
         stream.deltas,
     )
     inner = inner_run(padded)
-    return replace(
-        inner, outputs=inner.outputs[1:], instance_indices=inner.instance_indices[1:]
-    )
+    return replace(inner, outputs=inner.outputs[1:])

@@ -385,6 +385,13 @@ class TestNoTraceback:
         assert rc == 1
         assert capsys.readouterr().err == "parameter error: T must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("mechanism", ["unknown-k", "unknown-k-all"])
+    def test_beta_is_checked_on_a_stream_with_no_steps(self, tmp_path, capsys, mechanism):
+        path = write_stream(tmp_path, text="dstream 1 4 4 likes\n")
+        rc = main(["run", "--input", path, "--mechanism", mechanism, "--beta", "5"])
+        assert rc == 1
+        assert capsys.readouterr().err == "parameter error: beta must be in (0, 1), got 5.0\n"
+
     def test_unknown_k_all_with_a_tiny_approximate_dp_epsilon_runs(self, tmp_path):
         path = write_stream(tmp_path)
         rc = main(["run", "--input", path, "--mechanism", "unknown-k-all",

@@ -209,7 +209,6 @@ class TestUnknownK:
         result = run_unknown_k(PrivacyParams(1.0), 0.1, 8, s, RandomSource(0, "zero"))
         assert result.outputs == [0.0] * 8
         assert result.instances == 1
-        assert result.instance_indices == [1] * 8
 
     def test_engineered_abort_starts_second_instance(self):
         batches = [[(i, 1) for i in range(1, 7)]] + [[] for _ in range(7)]
@@ -224,7 +223,6 @@ class TestUnknownK:
         assert cfg1.S_K == 1 and cfg1.thresh < 6
         result = run_unknown_k(PrivacyParams(eps), beta, T, s, RandomSource(0, "zero"))
         assert result.instances == 2
-        assert result.instance_indices == [1] + [2] * 7
         assert result.outputs == [0.0] * 8  # zero noise: estimates stay 0
 
     def test_counters_carry_over(self):
@@ -245,6 +243,16 @@ class TestUnknownK:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "T, beta, message",
+        [(4, 5.0, r"beta must be in \(0, 1\), got 5.0"), (0, 0.1, "T must be >= 1, got 0")],
+    )
+    def test_checks_T_and_beta_on_an_empty_stream(self, T, beta, message):
+        # no step starts an instance, so only the runner's own check sees them
+        s = Stream(d=4, T=4, model="likes", batches=[])
+        with pytest.raises(ParameterError, match=message):
+            run_unknown_k(PrivacyParams(1.0), beta, T, s, RandomSource(0))
 
 
 class TestUnknownKAllBounds:
@@ -362,6 +370,32 @@ class TestBaselines:
         assert result.outputs == [float(q) for q in distinct_counts(s)]
 
 
+RUNNERS_WITH_T = {
+    "known-k": lambda T, s, src: run_known_k(PrivacyParams(1.0), 0.1, T, 64, s, src),
+    "unknown-k": lambda T, s, src: run_unknown_k(PrivacyParams(1.0), 0.1, T, s, src),
+    "unknown-k-all": lambda T, s, src: run_unknown_k_all_bounds(
+        PrivacyParams(1.0), 0.1, T, s, src
+    ),
+    "laplace-T": lambda T, s, src: run_laplace_baseline(PrivacyParams(1.0), T, s, src),
+    "gaussian-T": lambda T, s, src: run_gaussian_baseline(
+        PrivacyParams(0.5, 0.01), T, s, src
+    ),
+    "continual-likes": lambda T, s, src: run_continual_likes(1.0, T, s, src),
+}
+
+
+@pytest.mark.parametrize("name", RUNNERS_WITH_T)
+def test_T_must_cover_the_stream(name):
+    # a T shorter than the stream would shrink the noise scales calibrated to T
+    run = RUNNERS_WITH_T[name]
+    s = random_stream(16, 200, model="likes", target_K=40, seed=5)
+    for T in (1, 199):
+        message = rf"T={T} is shorter than the stream \(200 steps\)"
+        with pytest.raises(ParameterError, match=message):
+            run(T, s, RandomSource(0))
+    assert len(run(200, s, RandomSource(0)).outputs) == 200
+
+
 class TestContinualCounting:
     def test_zero_noise_exact(self):
         for seed in range(10):
@@ -452,19 +486,6 @@ class TestEventToItemAdapter:
             lambda p: run_continual_likes(1.0, 17, p, RandomSource(99)), s
         )
         assert adapted.outputs == direct.outputs[1:]
-
-    def test_instance_indices_shift_with_the_outputs(self):
-        s = random_stream(6, 16, model="likes", target_K=10, seed=22)
-        pp = PrivacyParams(1.0)
-        padded = Stream(
-            d=6, T=17, model="likes", batches=[[]] + [list(b) for b in s.batches]
-        )
-        direct = run_unknown_k(pp, 0.1, 17, padded, RandomSource(3))
-        adapted = run_event_to_item(
-            lambda p: run_unknown_k(pp, 0.1, 17, p, RandomSource(3)), s
-        )
-        assert adapted.instance_indices == direct.instance_indices[1:]
-        assert len(adapted.instance_indices) == len(adapted.outputs) == 16
 
     def test_rejects_general_model(self):
         s = random_stream(4, 8, model="general", target_K=4, seed=0)

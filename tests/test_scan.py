@@ -99,7 +99,7 @@ def assert_same_run(runner, args, seed, mode="live"):
     got = runner(*args, src_a)
     with mock.patch.object(mechanisms, "_scan", step_loop):
         want = runner(*args, src_b)
-    assert got == want  # outputs, yes_events, abort_step, instances, indices
+    assert got == want  # outputs, yes_events, abort_step, instances, fallback
     assert source_after(src_a) == source_after(src_b)
     return got
 
@@ -202,7 +202,7 @@ def test_fallback_after_an_instance(pp, beta, d, T, kind):
     s = Stream(d=d, T=T, model="likes", batches=batches)
     for seed in range(10):
         r = assert_same_run(run_unknown_k_all_bounds, (pp, beta, T, s), seed)
-        assert (r.fallback, r.instance_indices) == (kind, [1] + [2] * (T - 1))
+        assert (r.fallback, r.instances) == (kind, 2)
 
 
 class _StubGenerator:
