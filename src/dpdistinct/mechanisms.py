@@ -16,15 +16,11 @@ The count sequence q_t does not depend on the noise, so every runner reads it
 from the validated ``Stream`` (``Stream.counts``, a read-only int64 array)
 and no runner replays the batches.  One segment scanner (``_scan``) drives
 every known-K instance, frozen ones included.  Between refreshes the released
-value is constant, so it tests a whole window of steps at once: it reads the
-per-step noise mu_t for the window ahead from the instance's source
-(``RandomSource.ahead``), finds the first step with
-|out - q_t| + mu_t > thresh + tau in one numpy pass, releases the constant
-value for the quiet steps before it, and refreshes there with the source's
-next two draws.  A step whose test lies within a tiny slack of the threshold
-is decided again with the exact draw, so the scan releases, fires and aborts
-exactly where stepping ``KnownKMechanism.step_count`` would, and leaves the
-source with the same draw counts and next draw.
+value is constant, so it hands the gaps |out - q_t| of a whole window of
+steps to the instance's ``AboveThreshold.scan``, releases the constant value
+for the quiet steps before the first that fires, and refreshes there.  That
+docstring gives the argument that the scan fires, aborts and draws exactly
+as stepping ``KnownKMechanism.step_count`` would.
 """
 
 from __future__ import annotations
@@ -37,9 +33,9 @@ import numpy as np
 
 from . import stream as streammod
 from .errors import ParameterError
-from .noise import UNIT_BOUND, RandomSource
+from .noise import RandomSource
 from .stream import Stream, UpdateBatch, apply_batch, require_valid
-from .svt import fires, mu_scale, threshold_noise
+from .svt import AboveThreshold
 
 
 @dataclass(frozen=True)
@@ -159,10 +155,10 @@ class KnownKMechanism:
     value: the threshold test and abort bookkeeping run unchanged against the
     externally supplied frozen estimate.
 
-    The runners do not call ``step_count``: ``_scan`` reads the per-step
-    draws of many steps at once from the same source, takes them, and calls
-    ``fired`` at each step where the rule fires, which leaves the same state
-    as stepping would.
+    Each estimate is watched by its own ``AboveThreshold``, ``_query``, on
+    the gap |out - q_t|.  The runners do not call ``step_count``: ``_scan``
+    tests many steps at once with ``_query.scan`` and calls ``fired`` where
+    the rule fires, which leaves the same state as stepping would.
     """
 
     def __init__(
@@ -178,7 +174,7 @@ class KnownKMechanism:
         self._src = src
         self.freeze = freeze
         self.count = 1
-        self.tau = threshold_noise(config.eps1, src)
+        self._query = AboveThreshold(config.eps1, config.thresh, src)
         nu = src.laplace(1.0 / config.eps1)
         self.out = frozen_out if freeze else 0.0 + nu
         self.aborted = False
@@ -194,19 +190,18 @@ class KnownKMechanism:
         """One step on the live distinct count q; returns the released value."""
         if self.aborted:
             raise MechanismAborted("step after abort")
-        cfg = self.config
-        if fires(abs(self.out - q), cfg.thresh, self.tau, cfg.eps1, self._src):
+        if self._query.fires(abs(self.out - q)):
             self.fired(q)
         return self.out
 
     def fired(self, q: int) -> None:
-        """The rule fired at live count q: refresh with the source's next
-        two draws, or abort."""
+        """The rule fired at live count q: refresh with a fresh ``_query``
+        and the draw nu after its threshold noise, or abort."""
         cfg = self.config
         self.yes_events += 1
         if self.count < cfg.S_K:
             self.count += 1
-            self.tau = threshold_noise(cfg.eps1, self._src)
+            self._query = AboveThreshold(cfg.eps1, cfg.thresh, self._src)
             nu = self._src.laplace(1.0 / cfg.eps1)
             if not self.freeze:
                 self.out = q + nu
@@ -227,41 +222,21 @@ def _scan(mech: KnownKMechanism, q: np.ndarray, t: int, outputs: list[float]) ->
     The releases, ``mech``'s state and the source's draws end up exactly as
     ``step_count`` called on each count would leave them.
     """
-    cfg = mech.config
-    b = mu_scale(cfg.eps1)
-    n = len(q)
-    qmax = int(q[t:].max()) if t < n else 0
     w = _FIRST_WINDOW
-    src = mech._src
-    while t < n and not mech.aborted:
-        h = min(w, n - t)
+    while t < len(q) and not mech.aborted:
         out = mech.out
-        rhs = cfg.thresh + mech.tau
-        lhs = np.abs(out - q[t : t + h])
-        lhs += b * src.ahead(h)
-        # np.log is within a few ulps of math.log; the slack, 2^-40 of a
-        # bound on every term, keeps each step that could fire
-        slack = 2.0**-40 * (abs(rhs) + abs(out) + qmax + b * UNIT_BOUND)
-        fire = next(
-            (
-                i
-                for i in np.flatnonzero(lhs > rhs - slack).tolist()
-                if abs(out - q.item(t + i)) + src.exact(i, b) > rhs
-            ),
-            None,
-        )
+        gaps = np.abs(out - q[t : t + w])
+        fire = mech._query.scan(gaps)
         if fire is None:
-            outputs.extend([out] * h)
-            src.take(h)
-            t += h
+            outputs.extend([out] * len(gaps))
+            t += len(gaps)
             w *= 2
-            continue
-        outputs.extend([out] * fire)
-        src.take(fire + 1)
-        t += fire + 1
-        mech.fired(q.item(t - 1))
-        outputs.append(mech.out)
-        w = _FIRST_WINDOW
+        else:
+            outputs.extend([out] * fire)
+            t += fire + 1
+            mech.fired(q.item(t - 1))
+            outputs.append(mech.out)
+            w = _FIRST_WINDOW
     return t
 
 
@@ -361,12 +336,18 @@ def run_unknown_k_all_bounds(
 
     Instance j gets eps_j = 12*eps/(pi^2 j^2), delta_j = 6*delta/(pi^2 j^2)
     and beta_j = 12*beta/(pi^2 j^2).  Over all j these sum to 2*eps, delta
-    and 2*beta, where ``run_unknown_k``'s schedule sums to eps.  Each
-    boundary refresh also draws Lap(1/eps_j), and a fallback baseline spends
-    the full eps.  The argument that this composes to the claimed eps is
-    still open (ROADMAP item 1).
+    and 2*beta, where ``run_unknown_k``'s schedule sums to eps; beta_1 < 1
+    needs beta < pi^2/12.  Each boundary refresh also draws Lap(1/eps_j), and
+    a fallback baseline spends the full eps.  The argument that this
+    composes to the claimed eps is still open (ROADMAP item 1).
     """
     check_T_beta(T, beta)
+    beta_1 = 12 * beta / math.pi**2
+    if beta_1 >= 1:
+        raise ParameterError(
+            "unknown-k-all requires beta < pi^2/12 ~ 0.822: its first instance gets"
+            f" beta_1 = 12*beta/pi^2 = {beta_1:.6g}, and each instance requires beta_j < 1"
+        )
     check_T_covers(T, stream)
     d = stream.d
     counts = stream.counts

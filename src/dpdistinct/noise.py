@@ -14,13 +14,13 @@ Every Laplace draw reads one buffer of uniforms, refilled in blocks of at
 least ``_BLOCK`` by ``Generator.random(n)``, which yields the same values as
 n scalar ``random()`` calls.  ``laplace(b)`` takes the next buffered uniform.
 ``ahead(n)`` returns the next n draws at unit scale, transformed with
-``np.log`` when their block was drawn, so a mechanism can test a whole
-segment of steps in one numpy pass; ``exact(i, b)`` is entry i with
-``math.log``, and ``take(k)`` consumes k draws.  A Gaussian draw first
-rewinds the generator to just after the last uniform taken (the saved
-bit-generator state, then ``advance``) and empties the buffer, so every
-draw, of either kind, is the one that scalar ``random()`` and
-``standard_normal()`` calls in the same order would give.
+``np.log`` when their block was drawn, so ``svt.AboveThreshold.scan`` can
+test many steps in one numpy pass (its docstring says why it stays exact);
+``exact(i, b)`` is entry i with ``math.log``, and ``take(k)`` consumes k
+draws.  A Gaussian draw first rewinds the generator to just after the last
+uniform taken (the saved bit-generator state, then ``advance``) and empties
+the buffer, so every draw, of either kind, is the one that scalar
+``random()`` and ``standard_normal()`` calls in the same order would give.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ class RandomSource:
         self._pos = 0  # index of the next draw in _u
         self._state = None  # bit-generator state before the first buffered block
         self._drawn = 0  # uniforms drawn since _state, zeros included
-        self._taken = 0  # draws taken since _state
         self._zeros: list[int] = []  # positions of the zeros among those drawn
 
     _rng = _LazyGenerator()
@@ -137,7 +136,6 @@ class RandomSource:
         self.laplace_calls += k
         if self._live:
             self.laplace_draws += k
-            self._taken += k
             self._pos += k
 
     def laplace(self, b: float) -> float:
@@ -150,12 +148,14 @@ class RandomSource:
         if self._pos == len(self._u):
             self._fill(1)
         value = _inverse_cdf(self._u.item(self._pos), b)
-        self.take(1)
+        self.laplace_calls += 1  # take(1), inlined on the per-draw path
+        self.laplace_draws += 1
+        self._pos += 1
         return value
 
     def _rewind(self) -> None:
         """Empty the buffer; the generator resumes after the last uniform taken."""
-        used = self._taken  # uniforms up to the last one taken, zeros included
+        used = self._drawn - len(self._zeros) - (len(self._u) - self._pos)  # draws taken
         for z in self._zeros:
             if z >= used:
                 break
@@ -165,7 +165,7 @@ class RandomSource:
             bg.state = self._state
             bg.advance(used)
         self._u = self._unit = np.empty(0)
-        self._pos = self._drawn = self._taken = 0
+        self._pos = self._drawn = 0
         self._state = None
         self._zeros = []
 

@@ -1,15 +1,12 @@
-"""The sparse-vector rule, and AboveThreshold as a streaming state machine.
+"""AboveThreshold: the one sparse-vector state machine.
 
-One noisy threshold tau ~ Lap(2/eps) is drawn per instance
-(``threshold_noise``); each query draws fresh mu ~ Lap(4/eps) and fires when
-value + mu strictly exceeds thresh + tau (``fires``).  The known-K mechanism
-applies the same two functions to its gap |out - q_t| (``step_count``), and
-its segment scanner the same rule, at ``mu_scale``, to a window of steps.
-
-An ``AboveThreshold`` instance answers YES at most once: the first time the
-rule fires it reports YES and aborts, after which every step reports ABORTED
-without drawing noise.  The caller is responsible for only feeding queries
-of sensitivity at most 1.
+An instance draws one noisy threshold tau ~ Lap(2/eps); each query then
+draws fresh mu ~ Lap(4/eps) and fires when value + mu strictly exceeds
+thresh + tau (``fires``).  ``step`` answers YES at most once, the first time
+the rule fires, and ABORTED without drawing noise after that; ``scan`` tests
+an array of values in one pass, up to the first that fires.  The known-K
+mechanism holds one instance per estimate and feeds it the gap |out - q_t|.
+The caller is responsible for only feeding queries of sensitivity at most 1.
 """
 
 from __future__ import annotations
@@ -17,8 +14,10 @@ from __future__ import annotations
 import enum
 import math
 
+import numpy as np
+
 from .errors import ParameterError
-from .noise import RandomSource
+from .noise import UNIT_BOUND, RandomSource
 
 
 class SvtAnswer(enum.Enum):
@@ -27,35 +26,54 @@ class SvtAnswer(enum.Enum):
     ABORTED = "aborted"
 
 
-def threshold_noise(eps: float, src: RandomSource) -> float:
-    """Draw the per-instance threshold noise tau ~ Lap(2/eps)."""
-    return src.laplace(2.0 / eps)
-
-
-def mu_scale(eps: float) -> float:
-    """The Laplace scale 4/eps of the per-query noise mu."""
-    return 4.0 / eps
-
-
-def fires(value: float, thresh: float, tau: float, eps: float, src: RandomSource) -> bool:
-    """Draw mu ~ Lap(4/eps); True when value + mu > thresh + tau."""
-    return value + src.laplace(mu_scale(eps)) > thresh + tau
-
-
 class AboveThreshold:
+    __slots__ = ("eps", "thresh", "tau", "aborted", "_src")
+
     def __init__(self, eps: float, thresh: float, src: RandomSource):
-        if not (math.isfinite(eps) and eps > 0):
-            raise ParameterError(f"epsilon must be positive and finite, got {eps}")
+        if not 2.0**-1022 < eps < math.inf:  # 4/eps is finite above 2^-1022
+            raise ParameterError(f"epsilon and 4/epsilon must be positive and finite, got {eps}")
         self.eps = eps
         self.thresh = thresh
         self._src = src
-        self.tau = threshold_noise(eps, src)
+        self.tau = src.laplace(2.0 / eps)
         self.aborted = False
+
+    def fires(self, value: float) -> bool:
+        """Draw mu ~ Lap(4/eps); True, and aborted, when value + mu > thresh + tau."""
+        if value + self._src.laplace(4.0 / self.eps) > self.thresh + self.tau:
+            self.aborted = True
+            return True
+        return False
 
     def step(self, q_value: float) -> SvtAnswer:
         if self.aborted:
             return SvtAnswer.ABORTED
-        if fires(q_value, self.thresh, self.tau, self.eps, self._src):
-            self.aborted = True
-            return SvtAnswer.YES
-        return SvtAnswer.NO
+        return SvtAnswer.YES if self.fires(q_value) else SvtAnswer.NO
+
+    def scan(self, values: np.ndarray) -> int | None:
+        """``fires`` on each of the float64 ``values`` in turn until one fires:
+        its index, or None, with ``aborted`` and the source as those calls
+        leave them.
+
+        The draws are read ahead in one numpy pass (``RandomSource.ahead``),
+        whose ``np.log`` can differ from ``math.log`` by a few ulps, so each
+        test within a slack of the threshold is decided again, in order, with
+        its exact draw.  Each mu is b = 4/eps times a unit draw below
+        ``UNIT_BOUND``, so the two mus differ by a few ulps of b UNIT_BOUND;
+        both sums add the same value, and a rounded sum errs by at most 2^-53
+        of itself, about 2^-53 |thresh + tau| where the test can change sides.
+        The slack, 2^-40 of these bounds, keeps every test that fires.
+        """
+        src = self._src
+        b = 4.0 / self.eps
+        rhs = self.thresh + self.tau
+        lhs = b * src.ahead(len(values))
+        lhs += values
+        slack = 2.0**-40 * (abs(rhs) + b * UNIT_BOUND)
+        for i in np.flatnonzero(lhs > rhs - slack).tolist():
+            if values.item(i) + src.exact(i, b) > rhs:
+                src.take(i + 1)
+                self.aborted = True
+                return i
+        src.take(len(values))
+        return None

@@ -392,6 +392,18 @@ class TestNoTraceback:
         assert rc == 1
         assert capsys.readouterr().err == "parameter error: beta must be in (0, 1), got 5.0\n"
 
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_unknown_k_all_names_its_beta_limit(self, tmp_path, capsys, T):
+        # beta_1 = 12 beta / pi^2 is past 1; at T = 1 the pure-DP error branch
+        # of instance 1 would take the root of ln(T / beta_1) < 0
+        text = f"dstream 1 1 {T} likes\n1:+1\n" + "\n" * (T - 1)
+        path = write_stream(tmp_path, text=text)
+        rc = main(["run", "--input", path, "--mechanism", "unknown-k-all", "--beta", "0.9"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parameter error: unknown-k-all requires beta < pi^2/12")
+        assert "beta_1 = 12*beta/pi^2 = 1.09" in err
+
     def test_unknown_k_all_with_a_tiny_approximate_dp_epsilon_runs(self, tmp_path):
         path = write_stream(tmp_path)
         rc = main(["run", "--input", path, "--mechanism", "unknown-k-all",

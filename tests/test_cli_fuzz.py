@@ -27,7 +27,7 @@ SETTINGS = settings(
 )
 
 FLOATS = ["0", "-1", "nan", "inf", "-inf", "1e308", "5e-324", "1e-320",
-          "0.001", "0.1", "0.5", "1", "3"]
+          "0.001", "0.1", "0.5", "0.9", "1", "3"]
 # integers past 2^63 only: a size inside the int64 range can be allocated
 HUGE_INTS = [str(2**63), str(2**64), str(-(2**63) - 1), str(10**30), str(10**400),
              str(-(10**400))]

@@ -195,6 +195,20 @@ class TestKnownKMechanism:
             assert result.yes_events == mech.yes_events > 0
             assert outputs == result.outputs
 
+    def test_refresh_starts_a_fresh_query(self):
+        # tau and nu, then mu_1 fires on a gap past any noise: the refresh's
+        # instance draws its tau next
+        cfg = manual_config(S_K=3, thresh=5.0)
+        mech = KnownKMechanism(cfg, None, RandomSource(8))
+        first = mech._query
+        mech.step_count(10**6)
+        ref = RandomSource(8)
+        for b in (2.0, 1.0, 4.0):
+            ref.laplace(b)
+        assert first.aborted and mech.yes_events == 1
+        assert (mech._query is not first, mech._query.aborted) == (True, False)
+        assert mech._query.tau == ref.laplace(2.0)
+
     def test_constant_query_never_fires_under_zero_noise(self):
         cfg = derive_known_k_config(PrivacyParams(1.0), 32, 32, 0.1)
         mech = KnownKMechanism(cfg, None, RandomSource(0, "zero"))
@@ -256,6 +270,19 @@ class TestUnknownK:
 
 
 class TestUnknownKAllBounds:
+    @pytest.mark.parametrize("beta", [0.9, math.pi**2 / 12])
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_beta_past_its_first_instance_limit(self, T, beta):
+        # beta_1 = 12 beta / pi^2 reaches 1 at beta = pi^2/12 ~ 0.822; it is
+        # rejected also where j = 1 falls back to zero (eps 0.1) or Laplace (eps 50)
+        batches = [[(1, 1)]] + [[] for _ in range(T - 1)]
+        s = Stream(d=1, T=T, model="likes", batches=batches)
+        for pp in (PrivacyParams(0.1), PrivacyParams(1.0), PrivacyParams(50.0),
+                   PrivacyParams(0.5, 0.01)):
+            with pytest.raises(ParameterError, match=r"pi\^2/12 ~ 0.822: .* beta_1 = "):
+                run_unknown_k_all_bounds(pp, beta, T, s, RandomSource(0))
+        run_unknown_k_all_bounds(PrivacyParams(1.0), 0.82, T, s, RandomSource(0))
+
     def test_dimension_one_falls_back_to_zero(self):
         batches = [[(1, 1)], [(1, -1)], [(1, 1)], []]
         s = Stream(d=1, T=4, model="likes", batches=batches)

@@ -29,6 +29,7 @@ from dpdistinct.mechanisms import (
     run_unknown_k_all_bounds,
 )
 from dpdistinct.noise import _BLOCK
+from dpdistinct.svt import AboveThreshold
 
 SETTINGS = settings(
     max_examples=300,
@@ -60,7 +61,11 @@ def source_after(src):
 
 
 def state(mech):
-    return {k: v for k, v in vars(mech).items() if k != "_src"}
+    """The mechanism's scalars, and its AboveThreshold instance's."""
+    query = mech._query
+    return {k: v for k, v in vars(mech).items() if k not in ("_src", "_query")} | {
+        "_query": (query.eps, query.thresh, query.tau, query.aborted)
+    }
 
 
 @SETTINGS
@@ -248,36 +253,76 @@ def _disagreements(b=4.0, block=64):
     return found
 
 
-@pytest.mark.parametrize("vector_above", [True, False])
-def test_threshold_decided_by_scalar_log(vector_above):
+def _known_k_run(drive):
+    """Drive a known-K instance over 64 zero counts: tau and nu come before
+    mu_1, and step 1 fires when mu_1 > thresh."""
+
+    def run(src, thresh):
+        cfg = KnownKConfig(
+            eps=1.0, delta=0.0, K=1, T=64, beta=0.1, S_K=3, eps1=1.0, thresh=thresh
+        )
+        mech = KnownKMechanism(cfg, None, src)
+        outputs = []
+        drive(mech, np.zeros(64, dtype=np.int64), 0, outputs)
+        return (outputs, mech.yes_events), mech.yes_events == 1
+
+    return run
+
+
+def _svt_run(scan):
+    """Query an AboveThreshold instance with 64 zeros: tau comes before mu_1,
+    and the first query fires when mu_1 > thresh."""
+
+    def run(src, thresh):
+        svt = AboveThreshold(1.0, thresh, src)
+        if scan:
+            fire = svt.scan(np.zeros(64))
+        else:
+            fire = next((i for i in range(64) if svt.fires(0.0)), None)
+        return (fire, svt.aborted), fire == 0
+
+    return run
+
+
+# the draws before mu_1, and the two drivers that must agree
+DRIVERS = {
+    "scan": (2, _known_k_run(mechanisms._scan), _known_k_run(step_loop)),
+    "svt": (1, _svt_run(True), _svt_run(False)),
+}
+
+
+@pytest.mark.parametrize(
+    "vector_above, level",
+    [
+        pytest.param(v, level, id=str(v) if level == "scan" else f"svt-{v}")
+        for level in DRIVERS
+        for v in (True, False)
+    ],
+)
+def test_threshold_decided_by_scalar_log(vector_above, level):
     found = _disagreements()
     if vector_above not in found:
         pytest.skip("np.log and math.log agree on the sampled uniforms here")
     r = found[vector_above]
     # tau and nu come from uniforms of 0.5 and are -0.0, so the threshold is
-    # exactly thresh and the released value 0.0; q = 0 keeps the gap at 0,
-    # so step 1 fires exactly when mu_1 > thresh
-    values = [0.5, 0.5, r] + [0.5] * _BLOCK
+    # exactly thresh and the released value 0.0; the gap stays at 0, so the
+    # first test fires exactly when mu_1 > thresh
+    skip, *drivers = DRIVERS[level]
+    values = [0.5] * skip + [r] + [0.5] * _BLOCK
     src = RandomSource(0)
-    src._rng = _StubGenerator(values[2:])
+    src._rng = _StubGenerator(values[skip:])
     mu_vector, mu_scalar = 4.0 * src.ahead(64)[0], src.exact(0, 4.0)
     assert bool(mu_vector > mu_scalar) is vector_above
     thresh = min(mu_vector, mu_scalar)  # between the two draws
-    cfg = KnownKConfig(
-        eps=1.0, delta=0.0, K=1, T=64, beta=0.1, S_K=3, eps1=1.0, thresh=thresh
-    )
-    q = np.zeros(64, dtype=np.int64)
     runs = []
-    for drive in (mechanisms._scan, step_loop):
+    for drive in drivers:
         src = RandomSource(0)
         src._rng = _StubGenerator(values)
-        mech = KnownKMechanism(cfg, None, src)
-        outputs = []
-        drive(mech, q, 0, outputs)
+        result, fired = drive(src, thresh)
         src.gaussian(1.0)  # rewinds to just after the last uniform taken
-        runs.append((outputs, mech.yes_events, src.laplace_draws, src._rng.state))
+        runs.append((result, fired, src.laplace_draws, src._rng.state))
     assert runs[0] == runs[1]
-    assert runs[0][1] == (0 if vector_above else 1)  # as math.log decides
+    assert runs[0][1] is not vector_above  # as math.log decides
 
 
 def test_zero_uniform_is_dropped():

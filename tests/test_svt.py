@@ -2,10 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dpdistinct import ParameterError, RandomSource, child_seed
 from dpdistinct.svt import AboveThreshold, SvtAnswer
+from test_scan import source_after
 
 
 class TestZeroNoise:
@@ -54,7 +58,8 @@ class TestDrawAccounting:
         with pytest.raises(ParameterError):
             AboveThreshold(0.0, 1.0, RandomSource(0))
 
-    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    # at 1e-320 the query noise's scale 4/eps overflows
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 1e-320])
     def test_non_finite_eps_rejected(self, eps):
         with pytest.raises(ParameterError):
             AboveThreshold(eps, 1.0, RandomSource(0))
@@ -85,3 +90,41 @@ class TestAccuracy:
                 if ans is SvtAnswer.YES or ans is SvtAnswer.ABORTED:
                     break
         assert violations / trials <= beta + 0.05
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    # an entry is a value, or (offset,): that offset from the value whose
+    # test lands on the threshold with the step's draw
+    entries=st.lists(
+        st.one_of(
+            st.floats(-10.0, 80.0),
+            st.tuples(st.sampled_from([-1.0, -1e-12, 0.0, 1e-12, 1.0])),
+        ),
+        max_size=300,
+    ),
+    thresh=st.floats(0.0, 40.0),
+    eps=st.sampled_from([0.1, 0.5, 1.0, 4.0]),
+    mode=st.sampled_from(["live", "zero"]),
+    seed=st.integers(0, 2**32),
+)
+def test_scan_matches_fires(entries, thresh, eps, mode, seed):
+    ref = RandomSource(seed, mode)
+    rhs = thresh + ref.laplace(2.0 / eps)
+    mus = [ref.laplace(4.0 / eps) for _ in entries]
+    values = np.array(
+        [rhs - mu + e[0] if isinstance(e, tuple) else e for e, mu in zip(entries, mus)]
+    )
+    values.flags.writeable = False  # scan must not write into its input
+    src_a, src_b = RandomSource(seed, mode), RandomSource(seed, mode)
+    svt_a, svt_b = AboveThreshold(eps, thresh, src_a), AboveThreshold(eps, thresh, src_b)
+    got = svt_a.scan(values)
+    want = next((i for i, v in enumerate(values.tolist()) if svt_b.fires(v)), None)
+    assert (got, svt_a.aborted) == (want, svt_b.aborted) == (want, want is not None)
+    assert source_after(src_a) == source_after(src_b)
