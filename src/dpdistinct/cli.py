@@ -259,6 +259,8 @@ def cmd_bench(args) -> int:
     print(f"updates_per_second={_fmt(report.updates_per_second)}")
     print(f"laplace_draws={report.laplace_draws}")
     print(f"laplace_calls={report.laplace_calls}")
+    print(f"gaussian_draws={report.gaussian_draws}")
+    print(f"gaussian_calls={report.gaussian_calls}")
     return 0
 
 

@@ -69,6 +69,8 @@ def run_trials(
     """
     if n_trials < 1:
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
+    if bound is not None and not math.isfinite(bound):
+        raise ParameterError(f"bound must be finite, got {bound}")
     max_errors = []
     for k in range(n_trials):
         src = RandomSource(child_seed(base_seed, k), mode)
@@ -169,6 +171,8 @@ def privacy_probe(
         raise ParameterError(f"bin width must be positive and finite, got {bin_width}")
     if n_samples < 1:
         raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
+    if not 0 <= delta < 1:  # as PrivacyParams checks it; NaN fails too
+        raise ParameterError(f"delta must be in [0, 1), got {delta}")
     step = default_projection_step(x, y)
 
     def bin_of(result: RunResult) -> int:
@@ -222,6 +226,8 @@ class BenchReport:
     updates_per_second: float
     laplace_draws: int
     laplace_calls: int
+    gaussian_draws: int
+    gaussian_calls: int
 
 
 def throughput_bench(run_fn: RunFn, stream: Stream, seed: int = 0, mode: str = "live") -> BenchReport:
@@ -238,4 +244,6 @@ def throughput_bench(run_fn: RunFn, stream: Stream, seed: int = 0, mode: str = "
         updates_per_second=n_updates / elapsed if elapsed > 0 else float("inf"),
         laplace_draws=src.laplace_draws,
         laplace_calls=src.laplace_calls,
+        gaussian_draws=src.gaussian_draws,
+        gaussian_calls=src.gaussian_calls,
     )

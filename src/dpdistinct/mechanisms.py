@@ -18,9 +18,9 @@ and no runner replays the batches.  One segment scanner (``_scan``) drives
 every known-K instance, frozen ones included.  Between refreshes the released
 value is constant, so it hands the gaps |out - q_t| of a whole window of
 steps to the instance's ``AboveThreshold.scan``, releases the constant value
-for the quiet steps before the first that fires, and refreshes there.  That
-docstring gives the argument that the scan fires, aborts and draws exactly
-as stepping ``KnownKMechanism.step_count`` would.
+for the quiet steps before the first that fires, and refreshes there.  The
+scan leaves each test near the threshold to ``AboveThreshold.fires``, so it
+fires, aborts and draws exactly as stepping ``step_count`` would.
 """
 
 from __future__ import annotations

@@ -12,15 +12,15 @@ regardless of mode; ``laplace_draws`` counts only live (non-zero-mode) draws.
 
 Every Laplace draw reads one buffer of uniforms, refilled in blocks of at
 least ``_BLOCK`` by ``Generator.random(n)``, which yields the same values as
-n scalar ``random()`` calls.  ``laplace(b)`` takes the next buffered uniform.
-``ahead(n)`` returns the next n draws at unit scale, transformed with
-``np.log`` when their block was drawn, so ``svt.AboveThreshold.scan`` can
-test many steps in one numpy pass (its docstring says why it stays exact);
-``exact(i, b)`` is entry i with ``math.log``, and ``take(k)`` consumes k
-draws.  A Gaussian draw first rewinds the generator to just after the last
-uniform taken (the saved bit-generator state, then ``advance``) and empties
-the buffer, so every draw, of either kind, is the one that scalar
-``random()`` and ``standard_normal()`` calls in the same order would give.
+n scalar ``random()`` calls.  ``laplace(b)``, the one exact Laplace path,
+transforms the next buffered uniform with ``math.log``.  ``ahead(n)``
+returns the next n draws at unit scale, transformed with ``np.log`` when
+their block was drawn, so ``svt.AboveThreshold.scan`` can pick in one numpy
+pass the few tests that might fire, and ``take(k)`` consumes k draws.  A
+Gaussian draw first rewinds the generator to just after the last uniform
+taken (the saved bit-generator state, then ``advance``) and empties the
+buffer, so every draw, of either kind, is the one that scalar ``random()``
+and ``standard_normal()`` calls in the same order would give.
 """
 
 from __future__ import annotations
@@ -42,30 +42,12 @@ UNIT_BOUND = 37.0
 _BLOCK = 256
 
 
-def _inverse_cdf(r: float, b: float) -> float:
-    """The Lap(b) draw for a uniform r in (0, 1)."""
-    u = r - 0.5
-    return -b * math.copysign(math.log(1.0 - 2.0 * abs(u)), u)
-
-
 def child_seed(base_seed: int, index: int) -> int:
     """Deterministic per-trial seed, independent of execution order."""
     if base_seed < 0:
         raise ParameterError(f"seed must be >= 0, got {base_seed}")
     ss = np.random.SeedSequence([base_seed, index])
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-class _LazyGenerator:
-    """The generator, built on first use (zero mode never draws) and set as a
-    plain attribute: ``cached_property`` writes ``__dict__``, which makes
-    later attribute reads on the instance slower on CPython 3.11."""
-
-    def __get__(self, src, owner=None):
-        if src is None:
-            return self
-        src._rng = np.random.default_rng(src.seed)
-        return src._rng
 
 
 class RandomSource:
@@ -89,8 +71,10 @@ class RandomSource:
         self._state = None  # bit-generator state before the first buffered block
         self._drawn = 0  # uniforms drawn since _state, zeros included
         self._zeros: list[int] = []  # positions of the zeros among those drawn
-
-    _rng = _LazyGenerator()
+        # zero mode never draws and builds no generator; set last, so a zero
+        # source's attributes are a prefix of a live one's
+        if self._live:
+            self._rng = np.random.default_rng(seed)
 
     def _fill(self, n: int) -> None:
         """Draw blocks of uniforms until n draws are ahead."""
@@ -118,18 +102,12 @@ class RandomSource:
         mode).
 
         ``np.log`` can differ from ``math.log`` by an ulp, so each entry is
-        within a few ulps of the ``exact`` draw.
+        within a few ulps of the unit draw that ``laplace`` makes.
         """
         if not self._live:
             return np.zeros(n)
         self._fill(n)
         return self._unit[self._pos : self._pos + n]
-
-    def exact(self, i: int, b: float) -> float:
-        """The Lap(b) value of draw i ahead (after ``ahead(n)``, i < n)."""
-        if not self._live:
-            return 0.0
-        return _inverse_cdf(self._u.item(self._pos + i), b)
 
     def take(self, k: int) -> None:
         """Consume the next k Laplace draws."""
@@ -147,7 +125,8 @@ class RandomSource:
             raise ParameterError(f"Laplace scale must be positive and finite, got {b}")
         if self._pos == len(self._u):
             self._fill(1)
-        value = _inverse_cdf(self._u.item(self._pos), b)
+        u = self._u.item(self._pos) - 0.5  # the inverse CDF of Lap(b)
+        value = -b * math.copysign(math.log(1.0 - 2.0 * abs(u)), u)
         self.laplace_calls += 1  # take(1), inlined on the per-draw path
         self.laplace_draws += 1
         self._pos += 1

@@ -4,9 +4,10 @@ An instance draws one noisy threshold tau ~ Lap(2/eps); each query then
 draws fresh mu ~ Lap(4/eps) and fires when value + mu strictly exceeds
 thresh + tau (``fires``).  ``step`` answers YES at most once, the first time
 the rule fires, and ABORTED without drawing noise after that; ``scan`` tests
-an array of values in one pass, up to the first that fires.  The known-K
-mechanism holds one instance per estimate and feeds it the gap |out - q_t|.
-The caller is responsible for only feeding queries of sensitivity at most 1.
+an array of values in one numpy pass, up to the first that fires, and leaves
+each test near the threshold to ``fires``.  The known-K mechanism holds one
+instance per estimate and feeds it the gap |out - q_t|.  The caller is
+responsible for only feeding queries of sensitivity at most 1.
 """
 
 from __future__ import annotations
@@ -56,13 +57,12 @@ class AboveThreshold:
         leave them.
 
         The draws are read ahead in one numpy pass (``RandomSource.ahead``),
-        whose ``np.log`` can differ from ``math.log`` by a few ulps, so each
-        test within a slack of the threshold is decided again, in order, with
-        its exact draw.  Each mu is b = 4/eps times a unit draw below
-        ``UNIT_BOUND``, so the two mus differ by a few ulps of b UNIT_BOUND;
-        both sums add the same value, and a rounded sum errs by at most 2^-53
-        of itself, about 2^-53 |thresh + tau| where the test can change sides.
-        The slack, 2^-40 of these bounds, keeps every test that fires.
+        which picks the tests within a slack of the threshold.  A test outside
+        it cannot fire: its mu is b = 4/eps times a unit draw below
+        ``UNIT_BOUND``, whose ``np.log`` is a few ulps of b UNIT_BOUND from the
+        exact draw, and a rounded sum errs by at most 2^-53 of itself, about
+        2^-53 |thresh + tau| where the test can change sides; the slack is
+        2^-40 of these bounds.  A test inside it is decided by ``fires``.
         """
         src = self._src
         b = 4.0 / self.eps
@@ -70,10 +70,11 @@ class AboveThreshold:
         lhs = b * src.ahead(len(values))
         lhs += values
         slack = 2.0**-40 * (abs(rhs) + b * UNIT_BOUND)
+        taken = 0
         for i in np.flatnonzero(lhs > rhs - slack).tolist():
-            if values.item(i) + src.exact(i, b) > rhs:
-                src.take(i + 1)
-                self.aborted = True
+            src.take(i - taken)  # the draws of the tests before i, none of which fired
+            taken = i + 1
+            if self.fires(values.item(i)):
                 return i
-        src.take(len(values))
+        src.take(len(values) - taken)
         return None

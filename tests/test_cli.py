@@ -229,6 +229,16 @@ class TestTrials:
         assert "max_error_q50=" in out
         assert "pass_fraction=" in out
 
+    @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
+    def test_bound_that_is_not_finite_is_parameter_error(self, tmp_path, capsys, bound):
+        path = write_stream(tmp_path)
+        rc = main(["trials", "--input", path, "--mechanism", "laplace-T", "--trials", "2",
+                   f"--bound={bound}"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"parameter error: bound must be finite, got {bound}\n"
+        assert captured.out == ""
+
 
 class TestBounds:
     def test_branches_and_min(self, capsys):
@@ -327,6 +337,19 @@ class TestProbe:
         assert captured.err == f"input error: {field}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("delta", ["2", "nan", "-1"])
+    @pytest.mark.parametrize("mechanism", ["zero", "continual-likes"])
+    def test_delta_is_checked_without_privacy_params(self, tmp_path, capsys, mechanism, delta):
+        # these two mechanisms build no PrivacyParams, so the probe checks delta
+        path = write_stream(tmp_path, text="dstream 1 2 3 likes\n1:+1\n\n1:-1\n")
+        neighbor = write_stream(tmp_path, "y.dstream", "dstream 1 2 3 likes\n\n\n\n")
+        rc = main(["probe", "--input", path, "--neighbor", neighbor, "--mechanism", mechanism,
+                   "--eps", "5", "--samples", "20", f"--delta={delta}"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "parameter error: delta must be in [0, 1)" in captured.err
+        assert captured.out == ""
+
     def test_shorter_neighbor_is_accepted(self, tmp_path, capsys):
         path = write_stream(tmp_path, text="dstream 1 2 8 likes\n" + "1:+1\n1:-1\n" * 4)
         neighbor = write_stream(tmp_path, "y.dstream", "dstream 1 2 8 likes\n1:+1\n")
@@ -347,6 +370,16 @@ class TestBench:
         out = capsys.readouterr().out
         assert "laplace_draws=0" in out
         assert "updates=3" in out
+
+    @pytest.mark.parametrize("noise, draws", [("live", 3), ("zero", 0)])
+    def test_gaussian_draws_are_reported(self, tmp_path, capsys, noise, draws):
+        path = write_stream(tmp_path, text="dstream 1 4 3 likes\n1:+1\n2:+1\n1:-1\n")
+        rc = main(["bench", "--input", path, "--mechanism", "gaussian-T", "--eps", "0.5",
+                   "--delta", "0.01", "--noise", noise])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-4:] == ["laplace_draws=0", "laplace_calls=0",
+                              f"gaussian_draws={draws}", "gaussian_calls=3"]
 
 
 class TestNoTraceback:

@@ -101,6 +101,8 @@ def argvs(draw, files):
         argv += ["-o", files["out"]]
     elif command == "trials":
         argv += ["--trials", "2"]
+        if draw(st.booleans()):
+            argv += ["--bound", draw(st.sampled_from(FLOATS))]
     else:
         argv += ["--neighbor", files[draw(st.sampled_from(INPUTS))], "--samples", "2"]
     return argv

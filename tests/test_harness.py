@@ -96,6 +96,12 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trials(self.run_fn, self.stream, 0, base_seed=5)
 
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_bound_that_is_not_finite(self, bound):
+        # every max error fails a NaN bound, and an infinite one passes them all
+        with pytest.raises(ParameterError, match="bound must be finite"):
+            run_trials(self.run_fn, self.stream, 2, base_seed=5, bound=bound)
+
 
 class TestTheoreticalBound:
     def test_pure_dp_branches(self):
@@ -188,6 +194,13 @@ class TestProbe:
         assert result.status == "inconclusive"
         assert result.eps_hat is None
 
+    @pytest.mark.parametrize("delta", [-1.0, 1.0, 2.0, math.nan, math.inf])
+    def test_delta_outside_the_unit_interval_is_parameter_error(self, delta):
+        # a delta of 1 or more, or NaN, leaves a witness that cannot fail
+        s = Stream(d=2, T=1, model="likes", batches=[[(1, 1)]])
+        with pytest.raises(ParameterError, match=r"delta must be in \[0, 1\)"):
+            privacy_probe(lambda src, st: run_zero(st), s, s, n_samples=3, delta=delta)
+
     def test_delta_allowance_reduces_estimate(self):
         x = Stream(d=2, T=1, model="likes", batches=[[(1, 1)]])
         y = Stream(d=2, T=1, model="likes", batches=[[]])
@@ -207,3 +220,12 @@ class TestBench:
         assert report.seconds > 0
         assert report.updates_per_second > 0
         assert report.laplace_calls >= 200
+        assert (report.gaussian_calls, report.gaussian_draws) == (0, 0)
+
+    @pytest.mark.parametrize("mode, draws", [("live", 5), ("zero", 0)])
+    def test_gaussian_counts(self, mode, draws):
+        s = random_stream(4, 5, target_K=4, seed=3)
+        run_fn = lambda src, st: run_gaussian_baseline(PrivacyParams(0.5, 0.01), 5, st, src)
+        report = throughput_bench(run_fn, s, seed=0, mode=mode)
+        assert (report.gaussian_calls, report.gaussian_draws) == (5, draws)
+        assert (report.laplace_calls, report.laplace_draws) == (0, 0)

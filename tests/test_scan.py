@@ -49,14 +49,15 @@ def step_loop(mech, q, t, outputs):
 
 
 def source_after(src):
-    """Draw counters, then the source's next draws of each kind."""
+    """Draw counters, then the source's next draws of each kind and, in live
+    mode, its generator's next uniform (zero mode builds no generator)."""
     return (
         src.laplace_calls,
         src.laplace_draws,
         src.gaussian_calls,
         src.laplace(1.0),
         src.gaussian(1.0),
-        src._rng.random(),
+        src._rng.random() if src.mode == "live" else None,
     )
 
 
@@ -245,9 +246,9 @@ def _disagreements(b=4.0, block=64):
         src._rng = _StubGenerator(list(r) + [0.5] * _BLOCK)
         vector = b * src.ahead(block)
         for i, v in enumerate(vector.tolist()):
-            exact = src.exact(i, b)
-            if v != exact:
-                found.setdefault(v > exact, float(r[i]))
+            scalar = src.laplace(b)
+            if v != scalar:
+                found.setdefault(v > scalar, float(r[i]))
         if len(found) == 2:
             break
     return found
@@ -311,7 +312,7 @@ def test_threshold_decided_by_scalar_log(vector_above, level):
     values = [0.5] * skip + [r] + [0.5] * _BLOCK
     src = RandomSource(0)
     src._rng = _StubGenerator(values[skip:])
-    mu_vector, mu_scalar = 4.0 * src.ahead(64)[0], src.exact(0, 4.0)
+    mu_vector, mu_scalar = 4.0 * src.ahead(64)[0], src.laplace(4.0)
     assert bool(mu_vector > mu_scalar) is vector_above
     thresh = min(mu_vector, mu_scalar)  # between the two draws
     runs = []

@@ -65,13 +65,14 @@ def scalar_run(eps: float, T: int, stream: Stream, src: RandomSource) -> list[fl
 
 
 def source_after(src):
-    """Draw counters, then the source's next draws of each kind."""
+    """Draw counters, then the source's next draws of each kind and, in live
+    mode, its generator's next uniform (zero mode builds no generator)."""
     return (
         src.laplace_calls,
         src.laplace_draws,
         src.laplace(1.0),
         src.gaussian(1.0),
-        src._rng.random(),
+        src._rng.random() if src.mode == "live" else None,
     )
 
 
