@@ -94,11 +94,11 @@ def _add_mechanism_flags(p: argparse.ArgumentParser) -> None:
 def _make_run_fn(args, T: int):
     """Build a (src, stream) -> RunResult callable from CLI flags."""
     name = args.mechanism
+    pp = mechanisms.PrivacyParams(args.eps, args.delta)  # checked also where ignored
     if name == "zero":
         return lambda src, s: mechanisms.run_zero(s)
     if name == "continual-likes":
         return lambda src, s: mechanisms.run_continual_likes(args.eps, T, s, src)
-    pp = mechanisms.PrivacyParams(args.eps, args.delta)
     if name == "known-k":
         if args.K is None:
             raise ParameterError("--K is required for mechanism known-k")

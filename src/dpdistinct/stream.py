@@ -22,8 +22,11 @@ and whether every batch is a singleton.  The oracles below read these stored
 values, and mechanisms read q_t from the stream instead of replaying its
 batches.  ``CounterState`` and ``apply_batch`` replay batches one at a time
 for callers that feed a mechanism batch by batch.  The module also provides
-the ``.dstream`` text format (grammar below), which ``loads`` parses straight
-into the arrays; ``read_file`` hands a file's bytes to the same parser.
+the ``.dstream`` text format (grammar below), which ``loads`` and, on a file's
+bytes in place, ``read_file`` parse straight into the arrays: class-pair codes
+check the grammar and find each colon, each item is read back from its colon,
+a "+1" or "-1" delta without the digit loop, and each temporary is freed once
+read, in the parser and in the validation pass.
 """
 
 from __future__ import annotations
@@ -106,45 +109,48 @@ class Stream:
         self.offsets, self.items, self.deltas = offsets, items, deltas
         n = len(items)
         sizes = offsets[1:] - offsets[:-1]
-        step = np.arange(len(sizes)).repeat(sizes)
         key = items
         if n >= _RADIX_MIN and items.min() >= 0 and items.max() < 2**16:
             key = items.astype(np.uint16)  # numpy radix-sorts 16-bit keys; no id wraps
         order = key.argsort(kind="stable")  # by item, then by step
-        item_s, step_s, delta_s = items[order], step[order], deltas[order]
-        new_item = np.empty(n, dtype=bool)  # first update of its item
-        new_item[:1] = True
+        item_s = key[order]  # each sorted or per-update temporary is freed once read
+        new_item = np.ones(n, dtype=bool)  # first update of its item
         np.not_equal(item_s[1:], item_s[:-1], out=new_item[1:])
-        dup = (step_s[1:] == step_s[:-1]) & ~new_item[1:]
-        if n and (
-            item_s[0] < 1
-            or item_s[-1] > self.d
-            or np.count_nonzero(np.abs(deltas) != 1)
-            or dup.any()
-        ):
+        out_of_range = n and (item_s[0] < 1 or item_s[-1] > self.d)
+        del key, item_s
+        step = np.arange(len(sizes), dtype=np.min_scalar_type(len(sizes))).repeat(sizes)
+        dup = (np.diff(step[order]) == 0) & ~new_item[1:]
+        unit = np.count_nonzero(deltas == 1) + np.count_nonzero(deltas == -1)
+        if out_of_range or unit < n or dup.any():
             bad = (items < 1) | (items > self.d) | (np.abs(deltas) != 1)
-            t = int(np.concatenate((step[bad], step_s[1:][dup])).min()) + 1
+            t = int(np.concatenate((step[bad], step[order[1:][dup]])).min()) + 1
             _check_step(self._batch(t), self.d, t)  # raises: same rules
-        # per-item prefix sums after each update, in (item, step) order
-        after = delta_s.cumsum()
+        del step, dup
+        delta_s = deltas.astype(np.int8)[order]  # every delta is now +1 or -1
+        wide = np.min_scalar_type(-n - 1)  # a signed type that holds -n..n
+        # per-item prefix sums after each update, in (item, step) order: one
+        # running sum, whose first term for each item cancels the item before it
         first = new_item.nonzero()[0]
-        group = new_item.cumsum() - 1  # the update's item, ranked among those updated
-        after -= (after[first] - delta_s[first])[group]
+        after = delta_s.astype(wide)
+        after[first[1:]] -= np.add.reduceat(after, first, dtype=wide)[:-1]
+        np.cumsum(after, out=after)
         # +1 where the item becomes present, -1 where it stops being present
         gained = (after > 0).view(np.int8) - (after > delta_s).view(np.int8)
-        dq = np.empty_like(gained)
-        dq[order] = gained
-        q = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(dq, out=q[1:])
-        self.counts = q[offsets[1:]]
-        self.counts.flags.writeable = False
-        self._flips = np.bincount(group[gained != 0])  # per item updated, not per item in 1..d
         self.violation = None
         if self.model == LIKES:
             outside = ((after < 0) | (after > 1)).nonzero()[0]
             if len(outside):
                 i = order[outside].min()
-                self.violation = (int(items[i]), int(step[i]) + 1)
+                self.violation = (int(items[i]), int(offsets.searchsorted(i, "right")))
+        del after
+        # flips per item updated, not per item in 1..d
+        self._flips = np.add.reduceat(gained != 0, first, dtype=wide)
+        q = np.zeros(n + 1, dtype=wide)  # q_t is q[offsets[t]]
+        q[1:][order] = gained
+        del order
+        np.cumsum(q, out=q)
+        self.counts = q[offsets[1:]].astype(np.int64)
+        self.counts.flags.writeable = False
         self.singleton = bool(np.count_nonzero(sizes) == n)
 
     def _batch(self, t: int) -> UpdateBatch:
@@ -309,51 +315,69 @@ _PAIRS = bytes(
 _MAX_DIGITS = 18  # as in _TOKEN
 
 
-def _parse_columns(body: bytes):
-    """Parse data lines, each ended by "\\n", into (offsets, items, deltas), or
-    return None.
+def _digits_back(buf: np.ndarray, base: int, at: np.ndarray):
+    """The numbers whose last digits are ``buf[base + at]``, negated after a "-",
+    or None if one has over 18 digits; ``base >= 18``, ``buf[base]`` no digit."""
+    value = np.zeros(len(at), dtype=np.int64)
+    for lo in range(0, len(at), 1 << 15):  # blocks whose temporaries stay in cache
+        block, part = at[lo : lo + (1 << 15)], value[lo : lo + (1 << 15)]
+        live, minus = np.ones(len(block), dtype=bool), np.zeros(len(block), dtype=bool)
+        for k in range(_MAX_DIGITS + 1):
+            digit = buf[base - k :].take(block) - 48  # uint8: a byte that is not a digit wraps past 9
+            minus |= live & (digit == 253)  # "-" is 45
+            live &= digit < 10
+            if not live.any():
+                break
+            if k == _MAX_DIGITS:
+                return None
+            part += np.multiply(digit * live, 10**k, dtype=np.int64)
+        np.negative(part, out=part, where=minus)
+    return value
+
+
+def _parse_columns(data: bytes, start: int = 0):
+    """Parse the data lines of ``data[start:]``, each ended by "\\n", into
+    (offsets, items, deltas), or return None.
 
     The text parses when every token, split on spaces and tabs, matches
     ``_TOKEN``; the arrays then hold its numbers, line by line.  Any other
     text, such as a byte outside ASCII or another line break, returns None.
     """
-    # the leading spaces keep every digit window below inside the buffer
-    raw = b" " * _MAX_DIGITS + body
-    cls = np.frombuffer(raw.translate(_CLASS), dtype=np.uint8)
-    if (cls[:-1] * 5 + cls[1:]).tobytes().translate(None, _PAIRS):
+    if start <= _MAX_DIGITS:  # the digit loop reads up to 19 bytes before a token
+        data, start = b"\n" * (_MAX_DIGITS + 1) + data[start:], _MAX_DIGITS + 1
+    buf = np.frombuffer(data, dtype=np.uint8)
+    body = buf[start:]
+    cls = np.frombuffer(data.translate(_CLASS), dtype=np.uint8, offset=start - 1)
+    pairs = bytearray(len(body))  # each byte's (previous, next) class pair code
+    codes = np.frombuffer(pairs, dtype=np.uint8)
+    np.multiply(cls[:-1], 5, out=codes)
+    codes += cls[1:]
+    del cls
+    if pairs.translate(None, _PAIRS):
         return None
-    # each token is now [+-]<digits>(:[+-]<digits>)*; require one colon each
-    in_token = cls != 1
-    start, end = np.flatnonzero(in_token[1:] != in_token[:-1]).reshape(-1, 2).T + 1
-    colon = np.flatnonzero(cls == 4)
-    if len(colon) != len(start) or np.any(colon < start) or np.any(colon > end):
+    # each token is now [+-]<digits>(:[+-]<digits>)*, ended by a (digit, space)
+    # pair; (digit, colon) is the only pair that ends at a colon
+    tokens = np.count_nonzero(codes == 11)
+    colon = np.flatnonzero(np.equal(codes, 14, out=codes.view(bool)))
+    del pairs, codes
+    offsets = np.concatenate(([0], colon.searchsorted(np.flatnonzero(body == 10))))
+    items = _digits_back(buf, start - 1, colon)
+    # "+1" or "-1" then a space is read without the digit loop
+    sign, one, end = (body[k:].take(colon, mode="clip") for k in (1, 2, 3))
+    other = np.flatnonzero((sign > 45) | (one != 49) | (end >= 48))
+    at = colon[other] + 1 + (sign[other] < 48)  # past the sign
+    del colon, one, end
+    for _ in range(_MAX_DIGITS + 1):  # to the byte after the digits
+        if not (more := body[at] - 48 < 10).any():
+            break
+        at += more
+    value = _digits_back(buf, start - 1, at)
+    # more than 18 digits, a token without exactly one colon, or a delta ended by one
+    if items is None or value is None or len(sign) != tokens or np.any(body[at] == 58):
         return None
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    item_signed = cls[start] == 3
-    delta_signed = cls[colon + 1] == 3
-    item_width = colon - start - item_signed
-    delta_width = end - colon - 1 - delta_signed
-    if max(item_width.max(initial=0), delta_width.max(initial=0)) > _MAX_DIGITS:
-        return None
-    columns = []
-    for last, width, signed, sign_at in (
-        (colon, item_width, item_signed, start),
-        (end, delta_width, delta_signed, colon + 1),
-    ):
-        value = np.zeros(len(last), dtype=np.int64)
-        at = last - width.max(initial=0)
-        for k in range(width.max(initial=0) - 1, -1, -1):
-            digit = buf[at] - 48
-            digit[width <= k] = 0
-            value *= 10
-            value += digit
-            at += 1
-        np.negative(value, out=value, where=signed & (buf[sign_at] == 45))
-        columns.append(value)
-    line_ends = np.flatnonzero(buf == 10)
-    offsets = np.zeros(len(line_ends) + 1, dtype=np.int64)
-    offsets[1:] = np.searchsorted(colon, line_ends)
-    return offsets, columns[0], columns[1]
+    deltas = np.subtract(44, sign, dtype=np.int64)  # "+" is 43, "-" is 45
+    deltas[other] = value
+    return offsets, items, deltas
 
 
 def _bad_token(lines: list[str]) -> StreamFormatError:
@@ -366,10 +390,10 @@ def _bad_token(lines: list[str]) -> StreamFormatError:
     raise AssertionError("_parse_columns rejected text that matches the grammar")
 
 
-def _parse(header_line: str, body: bytes):
-    """Check a header line, then parse its data lines, each ended by "\\n"
-    in ``body``: (d, T, model, columns), columns None if ``_parse_columns``
-    rejects the body."""
+def _parse(header_line: str, data: bytes, start: int = 0):
+    """Check a header line, then parse the data lines of ``data[start:]``,
+    each ended by "\\n": (d, T, model, columns), columns None if
+    ``_parse_columns`` rejects them."""
     header = header_line.split()
     if len(header) != 5 or header[0] != "dstream" or header[1] != "1":
         raise StreamFormatError(f"bad .dstream header: {header_line!r}")
@@ -380,10 +404,10 @@ def _parse(header_line: str, body: bytes):
     model = header[4]
     if model not in _MODELS:
         raise StreamFormatError(f"unknown model {model!r} in header")
-    n_lines = body.count(b"\n")
+    n_lines = data.count(b"\n", start)
     if n_lines > T:
         raise StreamFormatError(f"{n_lines} data lines exceed declared T={T}")
-    return d, T, model, _parse_columns(body)
+    return d, T, model, _parse_columns(data, start)
 
 
 def _build(d: int, T: int, model: str, columns) -> Stream:
@@ -418,21 +442,21 @@ def write_file(stream: Stream, path) -> None:
 
 
 def read_file(path) -> Stream:
-    """Read a ``.dstream`` file as bytes, which go straight to the column
-    parser.  Text it rejects (another line break, a byte outside ASCII, a bad
-    token or header) is decoded as UTF-8, whatever the locale, and read by
-    ``loads``, which gives the same stream or error as for that text."""
+    """Read a ``.dstream`` file as bytes, which the column parser reads in place
+    from the header's end.  Text it rejects (another line break, a byte outside
+    ASCII, a bad token or header) is decoded as UTF-8, whatever the locale, and
+    read by ``loads``, which gives the same stream or error as for that text."""
     with open(path, "rb") as fh:
         data = fh.read()
-    first, _, body = data.partition(b"\n")
-    if body and not body.endswith(b"\n"):
-        body += b"\n"
-    header_line = first.decode("latin-1")
-    if first.isascii() and header_line.splitlines() == [header_line]:
+    ended = data if data.endswith(b"\n") else data + b"\n"  # every line ends in "\n"
+    start = ended.index(b"\n") + 1
+    header_line = ended[: start - 1].decode("latin-1")
+    if header_line.isascii() and header_line.splitlines() == [header_line]:
         try:
-            d, T, model, columns = _parse(header_line, body)
+            d, T, model, columns = _parse(header_line, ended, start)
         except StreamFormatError:  # loads raises it too, once the text decodes
             columns = None
         if columns is not None:  # then the whole file is ASCII
+            del data, ended  # free the file before the validation pass
             return _build(d, T, model, columns)
     return loads(data.decode("utf-8"))

@@ -340,7 +340,7 @@ class TestProbe:
     @pytest.mark.parametrize("delta", ["2", "nan", "-1"])
     @pytest.mark.parametrize("mechanism", ["zero", "continual-likes"])
     def test_delta_is_checked_without_privacy_params(self, tmp_path, capsys, mechanism, delta):
-        # these two mechanisms build no PrivacyParams, so the probe checks delta
+        # these two mechanisms ignore delta, which the CLI checks all the same
         path = write_stream(tmp_path, text="dstream 1 2 3 likes\n1:+1\n\n1:-1\n")
         neighbor = write_stream(tmp_path, "y.dstream", "dstream 1 2 3 likes\n\n\n\n")
         rc = main(["probe", "--input", path, "--neighbor", neighbor, "--mechanism", mechanism,
@@ -411,6 +411,30 @@ class TestNoTraceback:
         assert rc == 1
         assert captured.err.startswith("parameter error: ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["run", "trials", "bench", "probe"])
+    @pytest.mark.parametrize("mechanism", ["zero", "continual-likes"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--eps", "nan", "--delta", "nan"], "epsilon must be positive and finite, got nan"),
+            (["--eps", "-1"], "epsilon must be positive and finite, got -1.0"),
+            (["--eps", "inf"], "epsilon must be positive and finite, got inf"),
+            (["--eps", "0.5", "--delta", "2"], "delta must be in [0, 1), got 2.0"),
+            (["--eps", "0.5", "--delta=-0.5"], "delta must be in [0, 1), got -0.5"),
+        ],
+        ids=["eps nan delta nan", "eps -1", "eps inf", "delta 2", "delta -0.5"],
+    )
+    def test_flags_a_mechanism_ignores_are_checked(
+        self, tmp_path, capsys, command, mechanism, flags, message
+    ):
+        argv = [command, "--input", write_stream(tmp_path), "--mechanism", mechanism, *flags]
+        if command == "probe":
+            neighbor = write_stream(tmp_path, "y.dstream", "dstream 1 4 4 likes\n\n\n\n\n")
+            argv += ["--neighbor", neighbor, "--samples", "2"]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert (rc, captured.err, captured.out) == (1, f"parameter error: {message}\n", "")
 
     def test_unknown_k_all_on_an_empty_stream_needs_T(self, tmp_path, capsys):
         path = write_stream(tmp_path, text="dstream 1 4 0 likes\n")

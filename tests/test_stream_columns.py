@@ -11,9 +11,10 @@ decoded as UTF-8.
 """
 
 import re
+import tracemalloc
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dpdistinct import generators
@@ -284,6 +285,78 @@ def test_read_file_matches_loads(tmp_path_factory, data):
     assert got_err == want_err
     if want is not None:
         assert_equal_streams(got, want)
+
+
+# respellings of an "item:+1" token: the parser reads each with its digit
+# loop (a sign, zero padding, a delta other than "+1" or "-1", a tab after
+# it), or rejects it (a 19-digit number, a second colon, a trailing colon)
+ODD_ITEM = st.sampled_from(["+{}", "-{}", "{:018d}", "-{:018d}", "{:019d}", "+{:019d}"])
+ODD_DELTA = st.sampled_from(
+    [":1", ":11", ":+01", ":-01", ":+10", ":+0", ":-1\t", ":+1:+1", ":1:",
+     ":-000000000000000001", ":+0000000000000000001"]
+)
+
+
+@st.composite
+def spliced_texts(draw):
+    """Lines of canonical "item:+1" and "item:-1" tokens on distinct items,
+    with one token respelled at the first, a middle or the last position,
+    and the last line ended by "\\n" or not."""
+    d = draw(st.sampled_from([3, 9]))
+    unit = st.tuples(st.integers(1, d), st.sampled_from("+-"))
+    line = st.lists(unit, min_size=1, max_size=4, unique_by=lambda u: u[0])
+    lines = [[f"{i}:{s}1" for i, s in ln] for ln in draw(st.lists(line, min_size=1, max_size=6))]
+    at = [(n, k) for n, ln in enumerate(lines) for k in range(len(ln))]
+    n, k = at[draw(st.sampled_from([0, len(at) // 2, -1]))]
+    item, delta = lines[n][k].split(":")
+    lines[n][k] = draw(st.one_of(
+        st.builds(lambda f, delta: f.format(int(item)) + delta, ODD_ITEM, st.just(":" + delta)),
+        st.builds(lambda delta: item + delta, ODD_DELTA),
+        st.builds(lambda f, delta: f.format(int(item)) + delta, ODD_ITEM, ODD_DELTA),
+    ))
+    model = draw(st.sampled_from(["general", "likes"]))
+    text = "\n".join([f"dstream 1 {d} {len(lines)} {model}", *map(" ".join, lines)])
+    return text + draw(st.sampled_from(["\n", ""]))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(spliced_texts())
+@example("dstream 1 3 2 likes\n1:+1 2:+1\n2:-1")
+@example("dstream 1 3 2 likes\n1:+1 2:+1\n2:1")
+def test_spliced_tokens_match_reference(tmp_path_factory, text):
+    want, want_err = outcome(reference_loads, text)
+    path = tmp_path_factory.getbasetemp() / "spliced.dstream"
+    path.write_bytes(text.encode())
+    for read, source in ((streammod.loads, text), (streammod.read_file, path)):
+        got, got_err = outcome(read, source)
+        assert got_err == want_err
+        if want is not None:
+            assert_same_stream(got, *want)
+
+
+@pytest.mark.parametrize(
+    "make, bound_mb",
+    [
+        # churn-multi's shape: 10^4 items swing together at 25 of 10^4 steps
+        (lambda: generators.multiupdate_stream(10**4, 10**4, range(200, 10**4, 400), 10**4), 16),
+        # quiet-singleton's shape: 10^5 singleton likes updates over 10^4 items
+        (lambda: generators.random_stream(10**4, 10**5, "likes", True, 10**5, 1), 8),
+    ],
+    ids=["churn-multi", "quiet-singleton"],
+)
+def test_read_file_traced_peak(tmp_path, make, bound_mb):
+    """read_file's traced memory peak stays a few times the file's size."""
+    made = make()
+    path = tmp_path / "s.dstream"
+    streammod.write_file(made, path)
+    tracemalloc.start()
+    try:
+        got = streammod.read_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_equal_streams(got, made)
+    assert peak <= bound_mb * 10**6, f"read_file peaked at {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize(
