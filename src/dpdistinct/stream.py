@@ -109,23 +109,25 @@ class Stream:
         self.offsets, self.items, self.deltas = offsets, items, deltas
         n = len(items)
         sizes = offsets[1:] - offsets[:-1]
+        bad_delta = np.count_nonzero(np.abs(deltas) != 1)
         key = items
         if n >= _RADIX_MIN and items.min() >= 0 and items.max() < 2**16:
             key = items.astype(np.uint16)  # numpy radix-sorts 16-bit keys; no id wraps
         order = key.argsort(kind="stable")  # by item, then by step
         item_s = key[order]  # each sorted or per-update temporary is freed once read
-        new_item = np.ones(n, dtype=bool)  # first update of its item
+        new_item = np.empty(n, dtype=bool)  # first update of its item
+        new_item[:1] = True
         np.not_equal(item_s[1:], item_s[:-1], out=new_item[1:])
         out_of_range = n and (item_s[0] < 1 or item_s[-1] > self.d)
         del key, item_s
         step = np.arange(len(sizes), dtype=np.min_scalar_type(len(sizes))).repeat(sizes)
-        dup = (np.diff(step[order]) == 0) & ~new_item[1:]
-        unit = np.count_nonzero(deltas == 1) + np.count_nonzero(deltas == -1)
-        if out_of_range or unit < n or dup.any():
+        step_s = step[order]
+        dup = (step_s[1:] == step_s[:-1]) & ~new_item[1:]
+        if out_of_range or bad_delta or dup.any():
             bad = (items < 1) | (items > self.d) | (np.abs(deltas) != 1)
             t = int(np.concatenate((step[bad], step[order[1:][dup]])).min()) + 1
             _check_step(self._batch(t), self.d, t)  # raises: same rules
-        del step, dup
+        del step, step_s, dup
         delta_s = deltas.astype(np.int8)[order]  # every delta is now +1 or -1
         wide = np.min_scalar_type(-n - 1)  # a signed type that holds -n..n
         # per-item prefix sums after each update, in (item, step) order: one
@@ -133,7 +135,7 @@ class Stream:
         first = new_item.nonzero()[0]
         after = delta_s.astype(wide)
         after[first[1:]] -= np.add.reduceat(after, first, dtype=wide)[:-1]
-        np.cumsum(after, out=after)
+        after.cumsum(out=after)
         # +1 where the item becomes present, -1 where it stops being present
         gained = (after > 0).view(np.int8) - (after > delta_s).view(np.int8)
         self.violation = None
@@ -143,12 +145,11 @@ class Stream:
                 i = order[outside].min()
                 self.violation = (int(items[i]), int(offsets.searchsorted(i, "right")))
         del after
-        # flips per item updated, not per item in 1..d
-        self._flips = np.add.reduceat(gained != 0, first, dtype=wide)
+        self._flips = np.add.reduceat(gained != 0, first, dtype=wide)  # per updated item
         q = np.zeros(n + 1, dtype=wide)  # q_t is q[offsets[t]]
         q[1:][order] = gained
         del order
-        np.cumsum(q, out=q)
+        q.cumsum(out=q)
         self.counts = q[offsets[1:]].astype(np.int64)
         self.counts.flags.writeable = False
         self.singleton = bool(np.count_nonzero(sizes) == n)
@@ -323,7 +324,7 @@ def _digits_back(buf: np.ndarray, base: int, at: np.ndarray):
         block, part = at[lo : lo + (1 << 15)], value[lo : lo + (1 << 15)]
         live, minus = np.ones(len(block), dtype=bool), np.zeros(len(block), dtype=bool)
         for k in range(_MAX_DIGITS + 1):
-            digit = buf[base - k :].take(block) - 48  # uint8: a byte that is not a digit wraps past 9
+            digit = buf[base - k :].take(block) - 48  # uint8: a non-digit wraps past 9
             minus |= live & (digit == 253)  # "-" is 45
             live &= digit < 10
             if not live.any():
