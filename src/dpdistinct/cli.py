@@ -18,7 +18,7 @@ from . import harness, mechanisms, stream as streammod
 from .errors import ModelViolationError, ParameterError, StreamFormatError
 from .noise import RandomSource
 # distinct_counts is unused here; it is kept for perfbench/traced.py, which wraps it
-from .stream import Stream, distinct_counts, total_flippancy
+from .stream import Stream, _int_bytes, distinct_counts, total_flippancy
 
 
 def _fmt(v: float) -> str:
@@ -26,17 +26,6 @@ def _fmt(v: float) -> str:
 
 
 CSV_BLOCK = 8192  # rows per block: the CSV writer's memory does not grow with T
-
-
-def _int_bytes(v: np.ndarray) -> np.ndarray:
-    """"%d" of non-negative int64s: right-aligned ASCII rows, NUL-padded."""
-    width = len(str(v.max(initial=0)))
-    digits = np.zeros((len(v), width), np.uint8)
-    for j in reversed(range(width)):  # // by a scalar is numpy's fast integer division
-        q = v // 10
-        digits[:, j] = (v - 10 * q + ord("0")) * ((v > 0) | (j == width - 1))  # no leading 0
-        v = q
-    return digits
 
 
 def _float_bytes(x: np.ndarray) -> np.ndarray:
@@ -169,9 +158,9 @@ def cmd_generate(args) -> int:
             )
         else:
             raise ParameterError(f"unknown generator family {args.family!r}")
+        streammod.write_file(s, args.output)
     except MemoryError:  # a size inside the int64 limits that this machine cannot hold
         raise ParameterError("the requested stream does not fit in memory") from None
-    streammod.write_file(s, args.output)
     summary = total_flippancy(s)
     print(f"wrote {args.output} d={s.d} T={s.T} model={s.model} K={summary.total_K}")
     return 0

@@ -26,7 +26,11 @@ the ``.dstream`` text format (grammar below), which ``loads`` and, on a file's
 bytes in place, ``read_file`` parse straight into the arrays: class-pair codes
 check the grammar and find each colon, each item is read back from its colon,
 a "+1" or "-1" delta without the digit loop, and each temporary is freed once
-read, in the parser and in the validation pass.
+read, in the parser and in the validation pass.  ``write_file`` writes the
+text from the arrays with one numpy byte writer, a block of updates at a
+time: each token is a row of one uint8 matrix, its item's digits laid out by
+``_int_bytes``, the integer-to-ASCII routine the ``run`` CSV writer shares,
+and ``dumps`` decodes the same bytes.
 """
 
 from __future__ import annotations
@@ -286,21 +290,75 @@ def require_valid(stream: Stream) -> None:
 # line 1:       dstream 1 <d> <T> <general|likes>
 # lines 2..T+1: "<item>:<delta>" tokens matching _TOKEN, separated by spaces
 #               and tabs; empty line = no-op
-# Files are UTF-8, whatever the locale; lines end where str.splitlines ends them.
+# Files are read as UTF-8, whatever the locale; lines end where str.splitlines
+# ends them.  write_file writes ASCII with "\n" line ends on every platform.
 
 _TOKEN = re.compile(r"[+-]?[0-9]{1,18}:[+-]?[0-9]{1,18}")  # 18 digits fit in int64
 
+WRITE_BLOCK = 1 << 14  # updates and steps per block: the writer's memory does not grow with T
+
+
+def _int_bytes(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """"%d" of non-negative int64s, one per row of a uint8 matrix: right-aligned
+    ASCII, NUL-padded.  The matrix is ``out`` if given (as wide as the widest
+    number, or wider), else a new one exactly as wide."""
+    if out is None:
+        out = np.empty((len(v), len(str(int(v.max(initial=0))))), np.uint8)
+    width = out.shape[1]
+    v = v.astype(np.uint32 if width < 10 else np.uint64)  # 9 digits fit; uint32 // is faster
+    for j in reversed(range(width)):  # // by a scalar is numpy's fast integer division
+        q = v // 10
+        digit = (v - 10 * q).astype(np.uint8)
+        digit += ord("0")
+        if j < width - 1:
+            digit *= v > 0  # no leading 0
+        out[:, j] = digit
+        v = q
+    return out
+
+
+def _dstream_bytes(stream: Stream):
+    """The ``.dstream`` text of a stream as ASCII chunks: the header line, then
+    one chunk per block of up to WRITE_BLOCK updates and WRITE_BLOCK steps (a
+    step with more updates is split).  A block's tokens are laid out as rows
+    of one uint8 matrix, "<item>:+1 " or "<item>:-1 " with "\\n" in place of
+    the space after a step's last token, and its non-NUL bytes are the text;
+    each empty step's "\\n" is then put after the line before it."""
+    yield f"dstream 1 {stream.d} {stream.T} {stream.model}\n".encode("ascii")
+    offsets, items, deltas = stream.offsets, stream.items, stream.deltas
+    t, lo = 0, 0  # the first step not yet ended, and the first update not yet written
+    while t < stream.length:
+        reach = int(offsets.searchsorted(lo + WRITE_BLOCK, "right")) - 1
+        ends = offsets[t + 1 : min(reach, t + WRITE_BLOCK, stream.length) + 1]
+        hi = int(ends[-1]) if len(ends) else lo + WRITE_BLOCK  # else part of one long step
+        nonempty = np.diff(ends, prepend=lo) > 0  # of the steps that end here
+        width = len(str(int(items[lo:hi].max(initial=0))))
+        rows = np.empty((hi - lo, width + 4), np.uint8)  # digits, ":", sign, "1", separator
+        _int_bytes(items[lo:hi], rows[:, :width])
+        rows[:, width] = ord(":")
+        np.subtract(ord(","), deltas[lo:hi], out=rows[:, width + 1], casting="unsafe")  # "+" or "-"
+        rows[:, width + 2] = ord("1")
+        rows[:, width + 3] = ord(" ")
+        rows[ends[nonempty] - (lo + 1), width + 3] = ord("\n")
+        text = rows.tobytes().translate(None, b"\0")  # faster than a mask on rows this narrow
+        if not nonempty.all():
+            text = np.frombuffer(text, np.uint8)
+            starts = np.concatenate(([0], np.flatnonzero(text == ord("\n")) + 1))
+            text = np.insert(text, starts[np.cumsum(nonempty)[~nonempty]], ord("\n"))
+        yield text
+        t, lo = t + len(ends), hi
+
 
 def dumps(stream: Stream) -> str:
-    # a constructed stream's deltas are +1 or -1
-    tokens = [
-        f"{item}:+1" if delta > 0 else f"{item}:-1"
-        for item, delta in zip(stream.items.tolist(), stream.deltas.tolist())
-    ]
-    bounds = stream.offsets.tolist()
-    lines = [f"dstream 1 {stream.d} {stream.T} {stream.model}"]
-    lines += [" ".join(tokens[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    return "\n".join(lines) + "\n"
+    """The ``.dstream`` text of a stream: the bytes ``write_file`` writes."""
+    return b"".join(_dstream_bytes(stream)).decode("ascii")
+
+
+def write_file(stream: Stream, path) -> None:
+    """Write a stream's ``.dstream`` text, ASCII with "\\n" line ends on every
+    platform, one block at a time."""
+    with open(path, "wb") as fh:
+        fh.writelines(_dstream_bytes(stream))
 
 
 # character classes: 0 other, 1 space, tab or newline, 2 digit, 3 sign, 4 colon
@@ -435,11 +493,6 @@ def loads(text: str) -> Stream:
     if columns is None:
         raise _bad_token(lines[1:])
     return _build(d, T, model, columns)
-
-
-def write_file(stream: Stream, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps(stream))
 
 
 def read_file(path) -> Stream:

@@ -621,6 +621,18 @@ class TestNoTraceback:
         )
         assert not (tmp_path / "g.dstream").exists()
 
+    def test_generate_writer_out_of_memory_is_parameter_error(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(stream, path):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr(streammod, "write_file", out_of_memory)
+        argv = ["generate", "blocks", "--m", "2", "--J", "1", "--Tprime", "4"]
+        rc = main([*argv, "-o", str(tmp_path / "g.dstream")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "parameter error: the requested stream does not fit in memory\n"
+        assert "Traceback" not in err
+
     def test_names_the_benchmark_tracer_wraps_stay_importable(self):
         # perfbench/traced.py wraps these module attributes by name
         for module, name in ((cli, "distinct_counts"), (cli, "total_flippancy"),

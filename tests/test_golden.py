@@ -3,7 +3,10 @@
 
 The digests were recorded before the stream boundary was changed to carry
 its count sequence; a change to the order or the scale of a draw, or to the
-arithmetic of a release, shows up as a different digest.
+arithmetic of a release, shows up as a different digest.  The `.dstream`
+files of those streams, of their neighbours and of the two benchmark
+workloads are pinned too; their digests were recorded with the per-token
+f-string writer that the block writer replaced.
 """
 
 import hashlib
@@ -27,6 +30,40 @@ STREAMS = {
     # 20000 steps: more than two blocks of the CSV writer (cli.CSV_BLOCK rows)
     "long": ["random", "--d", "64", "--T", "20000", "--model", "likes", "--K", "3000",
              "--seed", "4"],
+}
+
+# name -> SHA-256 of the STREAMS file, and of its neighbour without item 1
+STREAM_DIGESTS = {
+    "multi": ("e978b019eb5536ef749ebb43ddd383ff7389ae82b3b85e7c9b17e0307b938928",
+              "d77d4626bfe8bbc93140e9024dbc7975acefb6a03105d9562d24876a87ebe2ee"),
+    "short": ("9013890e2c4ec2f97e6c86db720b386a322cbbe14021a711e85917abc796c155",
+              "1574f404cc0f22da83edb495d25f5ccb255d71cb721f81124a49c784a8212682"),
+    "one": ("583a8c2dbaa566cd44f539b4899c6856f6d65f23fb0ee39e34733f3d5acc3b25",
+            "2f38e24f7d18913fa37d6acab4bf4fb2514a3bd9115bc1dad8db915bdb1fbb0e"),
+    "general": ("84324fe46189353110671144c9afd3450afed192ec6c96b8b1174ef7b4228eec",
+                "010e47245c679831df9c12cc48e6d9d7e7fccf55d5efc8b77d856e198a197343"),
+    "likes": ("c74b0d48840ad0f3d8bbb856855837941b93d535e9a0b78177c36de6fe6c7297",
+              "7eced8ed8e78c7e81053c1abf827056bc568d5dd7bdd8267b9e8112bad76a077"),
+    "long": ("d323d8eca9384bbbb842de35e41793fbdf54d4c7f064c8128f5c8dc92cf6c37d",
+             "274236559c580e1854cd83bd51e83feae318a7137a722f0e83f38241cad63f8e"),
+}
+
+# the benchmark workloads' streams at seed 1 (perfbench/run.py), and SHA-256 of
+# each and of its neighbour without item 5188 (perfbench/neighbor.py)
+BENCH_STREAMS = {
+    "quiet-singleton": (
+        ["random", "--d", "10000", "--T", "100000", "--model", "likes", "--K", "100000",
+         "--seed", "1", "--singleton"],
+        "3e0512b95c59b736bf071ffb0c7197738591c3dea8cf2d7a0bc1c51c8bddbb8d",
+        "baf6b24a1247872f5411059c7ebeb6edbdd251e19ab96393ae0cad06fa744bc7",
+    ),
+    "churn-multi": (
+        ["multiupdate", "--m", "10000", "--I",
+         "276,348,857,1439,2489,2568,2729,3114,4089,4228,4721,5107,5381,5493,6434,7533,7536,"
+         "8176,8215,8268,8378,8653,8679,9471,9485", "--Tprime", "10000"],
+        "00b2a546eefca1cbe585342447a8e2e3162441d5c5b80cea38d4b16a05e6e877",
+        "d6b76a8c68681caf038bf24d03c6cfa9615b356b8d1b17aa94ad1120e6405790",
+    ),
 }
 
 # label -> (command, input, flags after --mechanism, SHA-256 of the output)
@@ -122,6 +159,26 @@ def inputs(tmp_path_factory):
         streammod.write_file(generators.neighbor_item(s, 1, [0] * s.length), y)
         paths[name] = (str(x), str(y))
     return paths
+
+
+def sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("name", STREAMS)
+def test_stream_file_digest(name, inputs):
+    assert tuple(map(sha256, inputs[name])) == STREAM_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", BENCH_STREAMS)
+def test_benchmark_stream_digest(name, tmp_path):
+    args, digest, neighbor_digest = BENCH_STREAMS[name]
+    x, y = tmp_path / "x.dstream", tmp_path / "y.dstream"
+    assert main(["generate", *args, "-o", str(x)]) == 0
+    s = streammod.read_file(x)
+    streammod.write_file(generators.neighbor_item(s, 5188, [0] * s.length), y)
+    assert (sha256(x), sha256(y)) == (digest, neighbor_digest)
 
 
 def output(command, files, flags, out_csv, capsys):

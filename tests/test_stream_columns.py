@@ -4,14 +4,19 @@
 documented grammar (``GRAMMAR``), and ``reference_index`` the per-batch
 validation loop that the columnar constructor replaced.  For every input,
 the columnar code must build the same stream (batches, counts, total and
-largest flippancy, violation, singleton, and the ``.dstream`` text) or raise
-the same exception class with the same message.  ``read_file``, which hands
-a file's bytes to the parser, must give what ``loads`` gives for the bytes
-decoded as UTF-8.
+largest flippancy, violation, singleton, and the ``.dstream`` text that
+``dumps`` returns and the bytes that ``write_file`` writes) or raise the same
+exception class with the same message.  ``read_file``, which hands a file's
+bytes to the parser, must give what ``loads`` gives for the bytes decoded as
+UTF-8.
 """
 
 import re
+import tempfile
 import tracemalloc
+from collections import defaultdict
+from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -50,7 +55,8 @@ def first_bad_token(lines):
 
 
 def reference_index(d, T, model, batches):
-    """The per-batch loop: (counts, flips, violation, singleton), or raise."""
+    """The per-batch loop: (counts, flips, violation, singleton), or raise;
+    ``flips`` maps each updated item to its flippancy."""
     if d < 1:
         raise ParameterError(f"dimension d must be >= 1, got {d}")
     if T < 0:
@@ -59,8 +65,8 @@ def reference_index(d, T, model, batches):
         raise ParameterError(f"unknown model {model!r}")
     if len(batches) > T:
         raise StreamFormatError(f"stream has {len(batches)} batches but declares T={T}")
-    sums = [0] * d
-    flips = [0] * d
+    sums = defaultdict(int)  # by item, so that d may be as large as 2^63 - 1
+    flips = defaultdict(int)
     counts = []
     q = 0
     singleton = True
@@ -73,11 +79,11 @@ def reference_index(d, T, model, batches):
         if len(batch) > 1:
             singleton = False
         for item, delta in batch:
-            old = sums[item - 1]
+            old = sums[item]
             new = old + delta
-            sums[item - 1] = new
+            sums[item] = new
             if (new > 0) != (old > 0):
-                flips[item - 1] += 1
+                flips[item] += 1
                 q += delta
             if new not in (0, 1) and model == "likes" and violation is None:
                 violation = (item, t)
@@ -131,18 +137,34 @@ def outcome(fn, *args):
         return None, (type(exc), str(exc))
 
 
+def first_difference(got: str, want: str):
+    """None if the texts are equal, else (line number, got's line, want's
+    line) for the first line that differs, a missing line being None.  The
+    report stays short: pytest's own diff of two long texts takes minutes."""
+    if got == want:
+        return None
+    lines = zip_longest(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    return next((i, a, b) for i, (a, b) in enumerate(lines, start=1) if a != b)
+
+
 def assert_same_stream(s, d, T, model, batches, index):
     counts, flips, violation, singleton = index
     assert (s.d, s.T, s.model, s.length) == (d, T, model, len(batches))
     assert s.batches == batches
     assert list(s.counts) == counts
     if violation is None:
-        assert total_flippancy(s) == FlippancySummary(sum(flips), max(flips))
+        want = FlippancySummary(sum(flips.values()), max(flips.values(), default=0))
+        assert total_flippancy(s) == want
     assert s.violation == violation
     assert s.singleton is singleton
     text = streammod.dumps(s)
-    assert text == reference_dumps(d, T, model, batches)
-    assert streammod.loads(text).batches == batches
+    assert first_difference(text, reference_dumps(d, T, model, batches)) is None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.dstream"
+        streammod.write_file(s, path)
+        assert first_difference(path.read_bytes().decode("latin-1"), text) is None
+    if s.items.max(initial=0) < 10**18:  # GRAMMAR reads ids of up to 18 digits
+        assert streammod.loads(text).batches == batches
 
 
 # --- .dstream text --------------------------------------------------------
@@ -334,19 +356,21 @@ def test_spliced_tokens_match_reference(tmp_path_factory, text):
             assert_same_stream(got, *want)
 
 
-@pytest.mark.parametrize(
-    "make, bound_mb",
-    [
-        # churn-multi's shape: 10^4 items swing together at 25 of 10^4 steps
-        (lambda: generators.multiupdate_stream(10**4, 10**4, range(200, 10**4, 400), 10**4), 16),
-        # quiet-singleton's shape: 10^5 singleton likes updates over 10^4 items
-        (lambda: generators.random_stream(10**4, 10**5, "likes", True, 10**5, 1), 8),
-    ],
-    ids=["churn-multi", "quiet-singleton"],
-)
-def test_read_file_traced_peak(tmp_path, make, bound_mb):
+SHAPES = {
+    # churn-multi's shape: 10^4 items swing together at 25 of 10^4 steps
+    "churn-multi": lambda: generators.multiupdate_stream(
+        10**4, 10**4, range(200, 10**4, 400), 10**4
+    ),
+    # quiet-singleton's shape: 10^5 singleton likes updates over 10^4 items
+    "quiet-singleton": lambda: generators.random_stream(10**4, 10**5, "likes", True, 10**5, 1),
+}
+
+
+@pytest.mark.parametrize("shape, bound_mb", [("churn-multi", 16), ("quiet-singleton", 8)],
+                         ids=list(SHAPES))
+def test_read_file_traced_peak(tmp_path, shape, bound_mb):
     """read_file's traced memory peak stays a few times the file's size."""
-    made = make()
+    made = SHAPES[shape]()
     path = tmp_path / "s.dstream"
     streammod.write_file(made, path)
     tracemalloc.start()
@@ -357,6 +381,22 @@ def test_read_file_traced_peak(tmp_path, make, bound_mb):
         tracemalloc.stop()
     assert_equal_streams(got, made)
     assert peak <= bound_mb * 10**6, f"read_file peaked at {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_write_file_traced_peak(tmp_path, shape):
+    """write_file's traced memory peak stays within twice the file's size."""
+    made = SHAPES[shape]()
+    path = tmp_path / "s.dstream"
+    tracemalloc.start()
+    try:
+        streammod.write_file(made, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert_equal_streams(streammod.read_file(path), made)
+    assert peak <= 2 * size, f"write_file peaked at {peak / 1e6:.2f} MB for {size / 1e6:.2f} MB"
 
 
 @pytest.mark.parametrize(
@@ -399,11 +439,29 @@ def test_loads_edge_cases(text):
 
 BATCH = st.lists(st.tuples(st.integers(-1, 8), st.sampled_from([1, 1, -1, -1, 0, 2])), max_size=4)
 BATCHES = st.lists(st.one_of(st.just([]), BATCH), max_size=10)
+MAX_ID = 2**63 - 1  # the largest d, so the widest id a stream holds (19 digits)
+# ids of every width from 1 to 19 digits, and the edges of the writer's
+# uint32 digit path (9 and 10 digits, 2^32)
+WIDE_ID = st.one_of(
+    st.integers(1, 19).flatmap(lambda k: st.integers(10 ** (k - 1), min(10**k - 1, MAX_ID))),
+    st.sampled_from([9, 10, 10**9 - 1, 10**9, 2**32 - 1, 2**32, 10**18, MAX_ID]),
+)
+WIDE_BATCH = st.lists(st.tuples(WIDE_ID, st.sampled_from([1, -1])), max_size=4,
+                      unique_by=lambda u: u[0])
+WIDE_BATCHES = st.lists(st.one_of(st.just([]), WIDE_BATCH), max_size=10)
 
 
 @SETTINGS
-@given(st.integers(1, 7), st.sampled_from(["general", "likes"]), BATCHES)
-def test_batches_match_reference(d, model, batches):
+@given(
+    st.one_of(st.tuples(st.integers(1, 7), BATCHES), st.tuples(st.just(MAX_ID), WIDE_BATCHES)),
+    st.sampled_from(["general", "likes"]),
+)
+@example((4, [[], [(1, 1)], [], [(2, -1), (4, 1)], []]), "general")  # empty first, middle, last
+@example((3, [[], [], []]), "likes")  # no update at all
+@example((3, []), "likes")  # a stream of length 0
+@example((MAX_ID, [[(10**k, 1) for k in range(19)] + [(MAX_ID, -1)], []]), "general")
+def test_batches_match_reference(stream, model):
+    d, batches = stream
     got, got_err = outcome(Stream, d, len(batches), model, batches)
     want, want_err = outcome(reference_index, d, len(batches), model, batches)
     assert got_err == want_err
@@ -468,6 +526,9 @@ def test_generated_streams_match_reference(d, T, model, singleton, seed, data):
         assert_same_stream(y, d, T, model, ybatches, reference_index(d, T, model, ybatches))
 
 
+B = streammod.WRITE_BLOCK  # updates and steps in one block of the .dstream writer
+
+
 @pytest.mark.parametrize(
     "s",
     [
@@ -479,6 +540,10 @@ def test_generated_streams_match_reference(d, T, model, singleton, seed, data):
         generators.marginals_to_stream_multi(
             generators.MarginalsTable(3, 2, ((1, 0), (1, 1), (0, 1)))
         ),
+        # more steps than one writer block, about half of them empty
+        generators.random_stream(64, 2 * B + 3, "likes", True, B, 7),
+        # two steps longer than one writer block, after, between and before empty steps
+        generators.multiupdate_stream(B + 100, B + 100, (2, 4), 5),
     ],
 )
 def test_family_streams_match_reference(s):
