@@ -329,7 +329,7 @@ def _dstream_bytes(stream: Stream):
     t, lo = 0, 0  # the first step not yet ended, and the first update not yet written
     while t < stream.length:
         reach = int(offsets.searchsorted(lo + WRITE_BLOCK, "right")) - 1
-        ends = offsets[t + 1 : min(reach, t + WRITE_BLOCK, stream.length) + 1]
+        ends = offsets[t + 1 : min(reach, t + WRITE_BLOCK) + 1]  # reach <= stream.length
         hi = int(ends[-1]) if len(ends) else lo + WRITE_BLOCK  # else part of one long step
         nonempty = np.diff(ends, prepend=lo) > 0  # of the steps that end here
         width = len(str(int(items[lo:hi].max(initial=0))))
