@@ -18,7 +18,7 @@ from . import harness, mechanisms, stream as streammod
 from .errors import ModelViolationError, ParameterError, StreamFormatError
 from .noise import RandomSource
 # distinct_counts is unused here; it is kept for perfbench/traced.py, which wraps it
-from .stream import Stream, _int_bytes, distinct_counts, total_flippancy
+from .stream import _MAX_DIGITS, Stream, _int_bytes, distinct_counts, total_flippancy
 
 
 def _fmt(v: float) -> str:
@@ -158,6 +158,9 @@ def cmd_generate(args) -> int:
             )
         else:
             raise ParameterError(f"unknown generator family {args.family!r}")
+        top = s.items.max(initial=0)
+        if top >= 10**_MAX_DIGITS:  # checked here: write_file writes any int64 id
+            raise ParameterError(f"item id {top} is past the {_MAX_DIGITS}-digit .dstream limit")
         streammod.write_file(s, args.output)
     except MemoryError:  # a size inside the int64 limits that this machine cannot hold
         raise ParameterError("the requested stream does not fit in memory") from None

@@ -6,8 +6,9 @@ estimate only when the gap grows past a threshold.  The number of refreshes is
 capped by a stopping parameter derived from the total flippancy budget K, so
 the privacy cost is paid only for refreshes, not for quiet steps.
 
-Also provided: the doubling wrapper for unknown K, the variant that falls back
-to trivial/additive-noise baselines when those dominate, per-step Laplace and
+Also provided: the two unknown-K runners, which share one doubling loop
+(``_doubling``) and differ in their budget schedule (``_Schedule``) and in the
+all-bounds fallback to trivial/additive-noise baselines; per-step Laplace and
 Gaussian baselines, a binary-tree counter for the likes model (one node draw
 per step, every prefix sum in one numpy pass), and the adapter that turns an
 event-level mechanism into an item-level one by prepending a zero step.
@@ -275,36 +276,55 @@ def run_known_k(
     )
 
 
-def run_unknown_k(
-    pp: PrivacyParams,
-    beta: float,
-    T: int,
-    stream: Stream,
-    src: RandomSource,
-) -> RunResult:
-    """Doubling wrapper: rerun the known-K mechanism with K_j = 2^j.
+@dataclass(frozen=True)
+class _Schedule:
+    """A doubling run's budget: instance j gets K_j = 2^j and c/(pi^2 j^2) of
+    each of eps, delta and beta, c the field of the same name, which sums to
+    c/6 of it over j.  ``scaled`` rounds as x * (c/(pi^2 j^2)), else c*x/(pi^2 j^2)."""
 
-    The j-th instance gets eps_j = 6*eps/(pi^2 j^2) (and delta, beta scaled
-    the same way) so the budgets sum to the overall parameters.  Each
-    instance picks up at the live count where the previous one aborted;
-    noise state does not carry over.
+    name: str
+    eps: int
+    delta: int
+    beta: int
+    scaled: bool
+
+    def shares(self, eps: float, delta: float, beta: float, j: int) -> tuple[float, ...]:
+        den = math.pi**2 * j**2
+        if self.scaled:
+            return eps * (self.eps / den), delta * (self.delta / den), beta * (self.beta / den)
+        return self.eps * eps / den, self.delta * delta / den, self.beta * beta / den
+
+
+_UNKNOWN_K = _Schedule("unknown-k", eps=6, delta=6, beta=6, scaled=True)
+_ALL_BOUNDS = _Schedule("unknown-k-all", eps=12, delta=6, beta=12, scaled=False)
+
+
+def run_unknown_k(
+    pp: PrivacyParams, beta: float, T: int, stream: Stream, src: RandomSource
+) -> RunResult:
+    """Doubling wrapper: rerun the known-K mechanism with K_j = 2^j, each
+    instance from the live count where the previous one aborted, with fresh
+    noise, on the schedule ``_UNKNOWN_K``, which sums to eps, delta and beta."""
+    return _doubling(pp, beta, T, stream, src, _UNKNOWN_K)
+
+
+def run_unknown_k_all_bounds(
+    pp: PrivacyParams, beta: float, T: int, stream: Stream, src: RandomSource
+) -> RunResult:
+    """Doubling wrapper that defers to a trivial algorithm when that wins.
+
+    Before starting instance j it compares the flippancy-parameterized error
+    guess min(K_j, B_j) with min(d, err_T).  Once the latter is smaller, it
+    switches permanently to the all-zero output (if d is the minimum) or to
+    the per-step Laplace/Gaussian baseline (if err_T is).  An instance whose
+    K_j is below B_j runs frozen at the latest boundary refresh.
+
+    Its schedule ``_ALL_BOUNDS`` sums to 2*eps, delta and 2*beta over all j.
+    Each boundary refresh also draws Lap(1/eps_j), and a fallback baseline
+    spends the full eps.  The argument that this composes to the claimed
+    eps is still open (ROADMAP item 1).
     """
-    check_T_beta(T, beta)
-    check_T_covers(T, stream)
-    counts = stream.counts
-    outputs: list[float] = []
-    yes_total = 0
-    j = 0
-    t = 0
-    while t < len(counts):
-        j += 1
-        scale = 6 / (math.pi**2 * j**2)
-        pp_j = PrivacyParams(pp.eps * scale, pp.delta * scale)
-        config = derive_known_k_config(pp_j, 2**j, T, beta * scale)
-        mech = KnownKMechanism(config, None, src)
-        t = _scan(mech, counts, t, outputs)
-        yes_total += mech.yes_events
-    return RunResult(outputs=outputs, yes_events=yes_total, instances=j)
+    return _doubling(pp, beta, T, stream, src, _ALL_BOUNDS, bounds=True)
 
 
 def _laplace_release(pp: PrivacyParams, T: int, counts, src: RandomSource) -> list[float]:
@@ -318,88 +338,64 @@ def _gaussian_release(pp: PrivacyParams, T: int, counts, src: RandomSource) -> l
     return [q + src.gaussian(sigma) for q in counts.tolist()]
 
 
-def run_unknown_k_all_bounds(
-    pp: PrivacyParams,
-    beta: float,
-    T: int,
-    stream: Stream,
-    src: RandomSource,
+def _instance_bound(pp: PrivacyParams, T: int, K_j: int, eps_j, delta_j, beta_j) -> float:
+    """B_j: the flippancy branch at ln(T/beta_j), plus a ln(1/delta_j) term if delta > 0."""
+    log_term_j = math.log(T / beta_j)
+    B_j = flippancy_branch(K_j, eps_j, delta_j, log_term_j)
+    if pp.delta > 0 and B_j < math.inf:
+        B_j += math.sqrt(math.log(1 / delta_j)) * log_term_j / eps_j
+    return B_j
+
+
+def _doubling(
+    pp: PrivacyParams, beta: float, T: int, stream: Stream, src: RandomSource,
+    schedule: _Schedule, bounds: bool = False,
 ) -> RunResult:
-    """Doubling wrapper that defers to a trivial algorithm when that wins.
-
-    Before starting instance j it compares the flippancy-parameterized error
-    guess min(K_j, B_j) with min(d, err_T).  Once the latter is smaller, it
-    switches permanently to the all-zero output (if d is the minimum) or to
-    the per-step Laplace/Gaussian baseline (if err_T is).  Instances whose
-    K_j is below B_j run in frozen mode: the released value stays at the
-    latest boundary refresh for the whole instance.
-
-    Instance j gets eps_j = 12*eps/(pi^2 j^2), delta_j = 6*delta/(pi^2 j^2)
-    and beta_j = 12*beta/(pi^2 j^2).  Over all j these sum to 2*eps, delta
-    and 2*beta, where ``run_unknown_k``'s schedule sums to eps; beta_1 < 1
-    needs beta < pi^2/12.  Each boundary refresh also draws Lap(1/eps_j), and
-    a fallback baseline spends the full eps.  The argument that this
-    composes to the claimed eps is still open (ROADMAP item 1).
-    """
+    """The doubling loop of both unknown-K runners.  ``bounds`` turns on the
+    fallback test, frozen instances and boundary draws of the all-bounds one."""
     check_T_beta(T, beta)
-    beta_1 = 12 * beta / math.pi**2
+    c, beta_1 = schedule.beta, schedule.shares(pp.eps, pp.delta, beta, 1)[2]
     if beta_1 >= 1:
         raise ParameterError(
-            "unknown-k-all requires beta < pi^2/12 ~ 0.822: its first instance gets"
-            f" beta_1 = 12*beta/pi^2 = {beta_1:.6g}, and each instance requires beta_j < 1"
+            f"{schedule.name} requires beta < pi^2/{c} ~ {math.pi**2 / c:.3g}: its first"
+            f" instance gets beta_1 = {c}*beta/pi^2 = {beta_1:.6g}, and each instance"
+            " requires beta_j < 1"
         )
     check_T_covers(T, stream)
-    d = stream.d
-    counts = stream.counts
-    n = len(counts)
+    d, counts, n = stream.d, stream.counts, stream.length
+    err_T = err_T_branch(T, pp.eps, pp.delta, math.log(T / beta)) if bounds else None
     outputs: list[float] = []
-    err_T = err_T_branch(T, pp.eps, pp.delta, math.log(T / beta))
-    out = 0.0  # pre-boundary frozen value; data-independent
-    t = 0
-    j = 0
-    yes_total = 0
-    fallback = None
+    out, fallback = 0.0, None  # out: the frozen value before any boundary draw; data-independent
+    t = j = yes_total = 0
     while t < n:
         j += 1
-        eps_j = 12 * pp.eps / (math.pi**2 * j**2)
-        delta_j = 6 * pp.delta / (math.pi**2 * j**2)
-        beta_j = 12 * beta / (math.pi**2 * j**2)
         K_j = 2**j
-        log_term_j = math.log(T / beta_j)
-        B_j = flippancy_branch(K_j, eps_j, delta_j, log_term_j)
-        if pp.delta > 0 and B_j < math.inf:  # an infinite B_j stays infinite
-            B_j += math.sqrt(math.log(1 / delta_j)) * log_term_j / eps_j
-        if min(K_j, B_j) > min(d, err_T):
-            if d <= err_T:
-                fallback = "zero"
-                outputs.extend([0.0] * (n - t))
-            elif pp.delta == 0:
-                fallback = "laplace"
-                outputs.extend(_laplace_release(pp, T, counts[t:], src))
-            else:
-                fallback = "gaussian"
-                outputs.extend(_gaussian_release(pp, T, counts[t:], src))
-            break
+        eps_j, delta_j, beta_j = schedule.shares(pp.eps, pp.delta, beta, j)
+        if bounds:
+            B_j = _instance_bound(pp, T, K_j, eps_j, delta_j, beta_j)
+            if min(K_j, B_j) > min(d, err_T):
+                if d <= err_T:
+                    fallback, rest = "zero", [0.0] * (n - t)
+                elif pp.delta == 0:
+                    fallback, rest = "laplace", _laplace_release(pp, T, counts[t:], src)
+                else:
+                    fallback, rest = "gaussian", _gaussian_release(pp, T, counts[t:], src)
+                outputs.extend(rest)
+                break
         if pp.delta > 0 and eps_j >= 1:  # only j = 1 can reach this
+            c = schedule.eps
             raise ParameterError(
-                f"unknown-k-all with delta > 0 requires epsilon < pi^2/12 ~ 0.822:"
-                f" its first instance gets eps_1 = 12*eps/pi^2 = {eps_j:.6g},"
-                " and approximate DP requires eps_1 < 1"
+                f"{schedule.name} with delta > 0 requires epsilon < pi^2/{c} ~"
+                f" {math.pi**2 / c:.3g}: its first instance gets eps_1 = {c}*eps/pi^2"
+                f" = {eps_j:.6g}, and approximate DP requires eps_1 < 1"
             )
-        pp_j = PrivacyParams(eps_j, delta_j)
-        config = derive_known_k_config(pp_j, K_j, T, beta_j)
-        freeze = K_j < B_j
-        mech = KnownKMechanism(config, None, src, freeze=freeze, frozen_out=out)
+        config = derive_known_k_config(PrivacyParams(eps_j, delta_j), K_j, T, beta_j)
+        mech = KnownKMechanism(config, None, src, freeze=bounds and K_j < B_j, frozen_out=out)
         t = _scan(mech, counts, t, outputs)
         yes_total += mech.yes_events
-        # boundary refresh: released value between instances
-        out = counts.item(t - 1) + src.laplace(1.0 / eps_j)
-    return RunResult(
-        outputs=outputs,
-        yes_events=yes_total,
-        instances=j,
-        fallback=fallback,
-    )
+        if bounds:  # the boundary refresh: the released value between instances
+            out = counts.item(t - 1) + src.laplace(1.0 / eps_j)
+    return RunResult(outputs, yes_total, instances=j, fallback=fallback)
 
 
 def run_zero(stream: Stream) -> RunResult:

@@ -633,6 +633,17 @@ class TestNoTraceback:
         assert err == "parameter error: the requested stream does not fit in memory\n"
         assert "Traceback" not in err
 
+    def test_generate_refuses_an_id_the_reader_cannot_read(self, tmp_path, capsys):
+        # d = 2^63 - 1 lets the generator draw a 19-digit id, and a .dstream
+        # token holds at most 18 digits
+        out = tmp_path / "x.dstream"
+        rc = main(["generate", "random", "--d", str(2**63 - 1), "--T", "1",
+                   "--model", "general", "--K", "1", "--seed", "1", "-o", str(out)])
+        assert (rc, capsys.readouterr().err) == (
+            1, "parameter error: item id 4720721261117928063 is past the 18-digit .dstream limit\n"
+        )
+        assert not out.exists()
+
     def test_names_the_benchmark_tracer_wraps_stay_importable(self):
         # perfbench/traced.py wraps these module attributes by name
         for module, name in ((cli, "distinct_counts"), (cli, "total_flippancy"),

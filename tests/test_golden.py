@@ -46,6 +46,8 @@ STREAM_DIGESTS = {
               "7eced8ed8e78c7e81053c1abf827056bc568d5dd7bdd8267b9e8112bad76a077"),
     "long": ("d323d8eca9384bbbb842de35e41793fbdf54d4c7f064c8128f5c8dc92cf6c37d",
              "274236559c580e1854cd83bd51e83feae318a7137a722f0e83f38241cad63f8e"),
+    "churn-multi": ("00b2a546eefca1cbe585342447a8e2e3162441d5c5b80cea38d4b16a05e6e877",
+                    "cb08f3e982204d58e5cb672689e36f949fcbcf7518cd399025ad0bc46bd62f7c"),
 }
 
 # the benchmark workloads' streams at seed 1 (perfbench/run.py), and SHA-256 of
@@ -65,6 +67,8 @@ BENCH_STREAMS = {
         "d6b76a8c68681caf038bf24d03c6cfa9615b356b8d1b17aa94ad1120e6405790",
     ),
 }
+# 10^4 steps in which all 10^4 items swing 25 times: long chains of doubling instances
+STREAMS["churn-multi"] = BENCH_STREAMS["churn-multi"][0]
 
 # label -> (command, input, flags after --mechanism, SHA-256 of the output)
 CASES = {
@@ -96,6 +100,16 @@ CASES = {
         "run", "short",
         ["unknown-k-all", "--eps", "0.95", "--delta", "0.01", "--beta", "0.5"],
         "9894b2e9f12865ae1364b13d2aee8055ec54fb2f7a63d0246fb485b3c6b531ee",
+    ),
+    # 14 and 15 instances at seed 5; recorded before the two unknown-K runners
+    # shared one doubling loop
+    "unknown-k long chain": (
+        "run", "churn-multi", ["unknown-k", "--eps", "50"],
+        "bd578ef763c19409d845e5b205245db2742b7e77780a586405f33d42c5461f5e",
+    ),
+    "unknown-k-all long chain": (
+        "run", "churn-multi", ["unknown-k-all", "--eps", "50"],
+        "13e8eb0ae08f5e530f17b5b2d201d6b51e8e662f7ac00261aa0ec9fd67b0f51f",
     ),
     "unknown-k-all zero fallback": (
         "run", "one", ["unknown-k-all", "--eps", "1"],

@@ -283,6 +283,25 @@ class TestUnknownKAllBounds:
                 run_unknown_k_all_bounds(pp, beta, T, s, RandomSource(0))
         run_unknown_k_all_bounds(PrivacyParams(1.0), 0.82, T, s, RandomSource(0))
 
+    @pytest.mark.parametrize("eps", [0.9, 0.95, math.nextafter(1.0, 0.0)])
+    def test_epsilon_limit_is_checked_where_instance_one_starts(self, eps):
+        # with delta > 0, eps_1 = 12 eps / pi^2 >= 1 from eps = pi^2/12 on; the
+        # check follows the fallback test.  On the one-step stream
+        # err_T = sqrt(ln(100) ln 2)/eps < 2 = K_1, so instance 1 falls back and
+        # the run goes on; on the 48-step stream instance 1 starts and is refused
+        short = multiupdate_stream(10, 10, [1], 1)
+        result = run_unknown_k_all_bounds(
+            PrivacyParams(eps, 0.01), 0.5, short.T, short, RandomSource(5)
+        )
+        assert (result.fallback, result.instances, len(result.outputs)) == ("gaussian", 1, 1)
+        multi = multiupdate_stream(200, 200, [2, 5, 9, 14, 20, 27, 35, 44], 48)
+        message = r"delta > 0 requires epsilon < pi\^2/12 ~ 0.822: .* eps_1 = 12\*eps/pi\^2 = 1"
+        for e in (math.pi**2 / 12, eps):
+            with pytest.raises(ParameterError, match=message):
+                run_unknown_k_all_bounds(
+                    PrivacyParams(e, 0.01), 0.5, multi.T, multi, RandomSource(5)
+                )
+
     def test_dimension_one_falls_back_to_zero(self):
         batches = [[(1, 1)], [(1, -1)], [(1, 1)], []]
         s = Stream(d=1, T=4, model="likes", batches=batches)
