@@ -158,7 +158,7 @@ def cmd_generate(args) -> int:
             )
         else:
             raise ParameterError(f"unknown generator family {args.family!r}")
-        top = s.items.max(initial=0)
+        top = int(s.items.max(initial=0))
         if top >= 10**_MAX_DIGITS:  # checked here: write_file writes any int64 id
             raise ParameterError(f"item id {top} is past the {_MAX_DIGITS}-digit .dstream limit")
         streammod.write_file(s, args.output)

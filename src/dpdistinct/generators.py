@@ -175,7 +175,7 @@ def random_stream(
         slots = rng.choice(d * T, size=target_K, replace=False)
         items, steps = slots // T + 1, slots % T
     # per item, in step order, the updates alternate insert, delete, ...
-    order = np.lexsort((steps, items))
+    order = _pair_order(items, steps, T)
     items, steps = items[order], steps[order]
     deltas = 1 - 2 * ((np.arange(len(items)) - np.searchsorted(items, items)) % 2)
     if texture:
@@ -186,8 +186,18 @@ def random_stream(
         steps = np.concatenate((steps, np.array(dips, dtype=np.int64).T.ravel()))
         items = np.concatenate((items, free, free))
         deltas = np.concatenate((deltas, np.repeat([-1, 1], len(free))))
-    order = np.lexsort((items, steps))
+    order = _pair_order(steps, items, d + 1)
     return _assemble(d, T, steps[order], items[order], deltas[order], model)
+
+
+def _pair_order(major: np.ndarray, minor: np.ndarray, span: int) -> np.ndarray:
+    """The order that sorts distinct (major, minor) pairs, each minor in
+    [0, span), by major and then by minor: one argsort of the unique key
+    major * span + minor, or ``np.lexsort`` where that key or span itself
+    could pass the int64 range."""
+    if (int(major.max(initial=0)) + 1) * span >= 2**63:
+        return np.lexsort((minor, major))
+    return np.argsort(major * span + minor)
 
 
 def _check_size(length: int, updates: int) -> None:
@@ -203,7 +213,7 @@ def _assemble(d, T, steps, items, deltas, model=streammod.LIKES, length=None) ->
     """The stream whose k-th update is (items[k], deltas[k]) at 0-based step
     steps[k], for updates in step order, with ``length`` (default T) steps."""
     length = T if length is None else length
-    offsets = np.zeros(length + 1, dtype=np.int64)
+    offsets = np.zeros(length + 1, dtype=np.min_scalar_type(len(steps)))  # as Stream keeps it
     np.cumsum(np.bincount(steps, minlength=length), out=offsets[1:])
     return Stream.from_columns(d, T, model, offsets, items, deltas)
 
@@ -221,7 +231,8 @@ def _replace_entries(
     offsets, keep = stream.offsets, ~drop
     sizes = offsets[1:] - offsets[:-1]
     step = np.concatenate((np.arange(stream.length).repeat(sizes)[keep], steps))
-    items = np.concatenate((stream.items[keep], np.full(len(steps), item)))
+    # int64 holds every id, and mixes with the int64 positions in key below
+    items = np.concatenate((stream.items[keep], np.full(len(steps), item)), dtype=np.int64)
     order = slice(None)  # no batch gains an entry, so none is reordered
     if len(steps):
         gains = np.zeros(stream.length, dtype=bool)

@@ -213,7 +213,8 @@ class KnownKMechanism:
             self.aborted = True
 
 
-_FIRST_WINDOW = 64  # steps; each quiet window doubles the next one
+_FIRST_WINDOW = 64  # steps; each quiet window doubles the next one, up to _MAX_WINDOW
+_MAX_WINDOW = 1 << 13  # steps; bounds the scan's gaps and read-ahead draws
 
 
 def _scan(mech: KnownKMechanism, q: np.ndarray, t: int, outputs: list[float]) -> int:
@@ -231,7 +232,7 @@ def _scan(mech: KnownKMechanism, q: np.ndarray, t: int, outputs: list[float]) ->
         if fire is None:
             outputs.extend([out] * len(gaps))
             t += len(gaps)
-            w *= 2
+            w = min(2 * w, _MAX_WINDOW)
         else:
             outputs.extend([out] * fire)
             t += fire + 1
@@ -469,7 +470,7 @@ def run_event_to_item(
         stream.d,
         stream.T + 1,
         stream.model,
-        np.concatenate(([0], stream.offsets)),
+        np.insert(stream.offsets, 0, 0),
         stream.items,
         stream.deltas,
     )

@@ -10,9 +10,11 @@ models are supported:
   delete only if present).
 
 A ``Stream`` is the boundary of the package.  It stores its updates in three
-read-only int64 numpy arrays: ``offsets`` (length + 1 entries), ``items`` and
-``deltas``; batch t (1-based) is ``items[offsets[t-1]:offsets[t]]`` paired
-with the same slice of ``deltas``.  The list form ``batches`` is built from
+read-only numpy arrays, each in the narrowest type that holds it, so that the
+types depend only on d and the update count: ``offsets`` (length + 1 entries,
+the narrowest unsigned type that holds the update count), ``items``
+(``np.min_scalar_type(d)``) and ``deltas`` (int8); batch t (1-based) is
+``items[offsets[t-1]:offsets[t]]`` paired with the same slice of ``deltas``.  The list form ``batches`` is built from
 the arrays when it is first read.  One vectorised pass in the constructor
 checks every batch and, in the same pass, records the exact distinct count
 after every step (the count sequence q_t), the flippancy of each item it
@@ -63,8 +65,9 @@ class Stream:
     the arrays directly.  A malformed batch raises ``StreamFormatError``
     naming its step.  The constructor stores ``counts`` (q_t after each
     step), ``violation`` (the (item, step) of the first likes-model
-    violation, or None) and ``singleton``.  ``counts`` and the update arrays
-    are read-only int64 arrays, so these values always describe the stream;
+    violation, or None) and ``singleton``.  ``counts`` is a read-only int64
+    array and the update arrays are read-only in their narrow types (see the
+    module docstring), so these values always describe the stream;
     ``batches`` is built from them on first read and must not be changed.
     """
 
@@ -83,14 +86,22 @@ class Stream:
                 _check_step(batch, d, t)
             raise
         pairs = pairs.reshape(-1, 2)
-        self._index(offsets, pairs[:, 0].copy(), pairs[:, 1].copy())
+        self._index([offsets, pairs[:, 0], pairs[:, 1]])
 
     @classmethod
     def from_columns(cls, d: int, T: int, model: str, offsets, items, deltas) -> Stream:
-        """Build a stream from its arrays; the arrays are made read-only."""
+        """Build a stream from its arrays, of any integer type; the stream
+        keeps each one, or its narrowed copy, read-only."""
+        return cls._adopt(d, T, model, [offsets, items, deltas])
+
+    @classmethod
+    def _adopt(cls, d: int, T: int, model: str, columns: list) -> Stream:
+        """``from_columns`` on a list of the three arrays, which it empties,
+        so that a wide column the caller does not keep is freed as soon as
+        the validation pass has narrowed it."""
         self = cls.__new__(cls)
-        self._check_header(d, T, model, len(offsets) - 1)
-        self._index(*(np.asarray(a, dtype=np.int64) for a in (offsets, items, deltas)))
+        self._check_header(d, T, model, len(columns[0]) - 1)
+        self._index(columns)
         return self
 
     def _check_header(self, d: int, T: int, model: str, length: int) -> None:
@@ -106,23 +117,34 @@ class Stream:
             raise StreamFormatError(f"stream has {length} batches but declares T={T}")
         self.d, self.T, self.model = d, T, model
 
-    def _index(self, offsets: np.ndarray, items: np.ndarray, deltas: np.ndarray) -> None:
-        """The validation pass: check every batch, then store the oracles."""
-        for a in (offsets, items, deltas):
-            a.flags.writeable = False
-        self.offsets, self.items, self.deltas = offsets, items, deltas
+    def _index(self, columns: list) -> None:
+        """The validation pass: check every batch, then store the oracles and
+        the columns, each in the narrowest type that holds it.  Empties
+        ``columns``: a wide column is freed once narrowed, unless a caller
+        keeps it."""
+        offsets, items, deltas = map(_integers, columns)
+        columns.clear()
         n = len(items)
+        offsets = offsets.astype(np.min_scalar_type(n), copy=False)
+        self.offsets, self.items, self.deltas = offsets, items, deltas  # _batch reads them
         sizes = offsets[1:] - offsets[:-1]
         bad_delta = np.count_nonzero(np.abs(deltas) != 1)
+        narrow = np.min_scalar_type(self.d)
         key = items
-        if n >= _RADIX_MIN and items.min() >= 0 and items.max() < 2**16:
-            key = items.astype(np.uint16)  # numpy radix-sorts 16-bit keys; no id wraps
+        if n >= _RADIX_MIN:  # a long stream is narrowed first, so the sort never holds a wide copy
+            lo, hi = items.min(), items.max()
+            if lo >= 1 and hi <= self.d:
+                self.items = items = key = items.astype(narrow, copy=False)
+            if lo >= 0 and hi < 2**16:
+                key = items.astype(np.uint16, copy=False)  # numpy radix-sorts 16-bit keys
         order = key.argsort(kind="stable")  # by item, then by step
         item_s = key[order]  # each sorted or per-update temporary is freed once read
         new_item = np.empty(n, dtype=bool)  # first update of its item
         new_item[:1] = True
         np.not_equal(item_s[1:], item_s[:-1], out=new_item[1:])
         out_of_range = n and (item_s[0] < 1 or item_s[-1] > self.d)
+        if not out_of_range:  # every id fits the narrow type; already narrowed if long
+            self.items = items = items.astype(narrow, copy=False)
         del key, item_s
         step = np.arange(len(sizes), dtype=np.min_scalar_type(len(sizes))).repeat(sizes)
         step_s = step[order]
@@ -132,7 +154,8 @@ class Stream:
             t = int(np.concatenate((step[bad], step[order[1:][dup]])).min()) + 1
             _check_step(self._batch(t), self.d, t)  # raises: same rules
         del step, step_s, dup
-        delta_s = deltas.astype(np.int8)[order]  # every delta is now +1 or -1
+        self.deltas = deltas = deltas.astype(np.int8, copy=False)  # every delta is +1 or -1
+        delta_s = deltas[order]
         wide = np.min_scalar_type(-n - 1)  # a signed type that holds -n..n
         # per-item prefix sums after each update, in (item, step) order: one
         # running sum, whose first term for each item cancels the item before it
@@ -155,7 +178,8 @@ class Stream:
         del order
         q.cumsum(out=q)
         self.counts = q[offsets[1:]].astype(np.int64)
-        self.counts.flags.writeable = False
+        for a in (self.offsets, self.items, self.deltas, self.counts):
+            a.flags.writeable = False
         self.singleton = bool(np.count_nonzero(sizes) == n)
 
     def _batch(self, t: int) -> UpdateBatch:
@@ -199,6 +223,12 @@ class ValidationReport:
     ok: bool
     violation: tuple[int, int] | None  # (item, time) of first likes violation
     singleton: bool
+
+
+def _integers(a) -> np.ndarray:
+    """``a`` as an array: as it is if it holds integers, else as int64."""
+    arr = np.asarray(a)
+    return arr if arr.dtype.kind in "iu" else np.asarray(a, dtype=np.int64)
 
 
 def check_batch(batch: UpdateBatch, d: int) -> None:
@@ -299,7 +329,7 @@ WRITE_BLOCK = 1 << 14  # updates and steps per block: the writer's memory does n
 
 
 def _int_bytes(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """"%d" of non-negative int64s, one per row of a uint8 matrix: right-aligned
+    """"%d" of non-negative integers, one per row of a uint8 matrix: right-aligned
     ASCII, NUL-padded.  The matrix is ``out`` if given (as wide as the widest
     number, or wider), else a new one exactly as wide."""
     if out is None:
@@ -329,7 +359,8 @@ def _dstream_bytes(stream: Stream):
     t, lo = 0, 0  # the first step not yet ended, and the first update not yet written
     while t < stream.length:
         reach = int(offsets.searchsorted(lo + WRITE_BLOCK, "right")) - 1
-        ends = offsets[t + 1 : min(reach, t + WRITE_BLOCK) + 1]  # reach <= stream.length
+        # reach <= stream.length; signed, as the unsigned offsets could wrap below
+        ends = offsets[t + 1 : min(reach, t + WRITE_BLOCK) + 1].astype(np.int64)
         hi = int(ends[-1]) if len(ends) else lo + WRITE_BLOCK  # else part of one long step
         nonempty = np.diff(ends, prepend=lo) > 0  # of the steps that end here
         width = len(str(int(items[lo:hi].max(initial=0))))
@@ -396,7 +427,7 @@ def _digits_back(buf: np.ndarray, base: int, at: np.ndarray):
 
 def _parse_columns(data: bytes, start: int = 0):
     """Parse the data lines of ``data[start:]``, each ended by "\\n", into
-    (offsets, items, deltas), or return None.
+    a list [offsets, items, deltas], or return None.
 
     The text parses when every token, split on spaces and tabs, matches
     ``_TOKEN``; the arrays then hold its numbers, line by line.  Any other
@@ -416,10 +447,14 @@ def _parse_columns(data: bytes, start: int = 0):
         return None
     # each token is now [+-]<digits>(:[+-]<digits>)*, ended by a (digit, space)
     # pair; (digit, colon) is the only pair that ends at a colon
-    tokens = np.count_nonzero(codes == 11)
-    colon = np.flatnonzero(np.equal(codes, 14, out=codes.view(bool)))
-    del pairs, codes
-    offsets = np.concatenate(([0], colon.searchsorted(np.flatnonzero(body == 10))))
+    tokens = pairs.count(11)
+    mask = codes.view(bool)  # the pair buffer, reused for each byte mask
+    colon = np.flatnonzero(np.equal(codes, 14, out=mask))
+    ends = np.flatnonzero(np.equal(body, 10, out=mask))
+    del pairs, codes, mask
+    offsets = np.zeros(len(ends) + 1, dtype=np.min_scalar_type(len(colon)))
+    offsets[1:] = colon.searchsorted(ends)
+    del ends
     items = _digits_back(buf, start - 1, colon)
     # "+1" or "-1" then a space is read without the digit loop
     sign, one, end = (body[k:].take(colon, mode="clip") for k in (1, 2, 3))
@@ -434,9 +469,10 @@ def _parse_columns(data: bytes, start: int = 0):
     # more than 18 digits, a token without exactly one colon, or a delta ended by one
     if items is None or value is None or len(sign) != tokens or np.any(body[at] == 58):
         return None
-    deltas = np.subtract(44, sign, dtype=np.int64)  # "+" is 43, "-" is 45
+    # "+" is 43, "-" is 45; int8, the stored type, when no delta needed the digit loop
+    deltas = np.subtract(44, sign, dtype=np.int64 if len(other) else np.int8)
     deltas[other] = value
-    return offsets, items, deltas
+    return [offsets, items, deltas]
 
 
 def _bad_token(lines: list[str]) -> StreamFormatError:
@@ -469,10 +505,10 @@ def _parse(header_line: str, data: bytes, start: int = 0):
     return d, T, model, _parse_columns(data, start)
 
 
-def _build(d: int, T: int, model: str, columns) -> Stream:
-    """The one validation pass, its errors naming the line."""
+def _build(d: int, T: int, model: str, columns: list) -> Stream:
+    """The one validation pass, its errors naming the line; empties ``columns``."""
     try:
-        return Stream.from_columns(d, T, model, *columns)
+        return Stream._adopt(d, T, model, columns)
     except StreamFormatError as exc:  # the batch count was checked by _parse
         raise StreamFormatError(f"line {exc.step + 1}: {exc}") from None
 

@@ -2,6 +2,7 @@
 wrappers, baselines, and the item-level adapter."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -537,3 +538,19 @@ class TestEventToItemAdapter:
         s = random_stream(4, 8, model="general", target_K=4, seed=0)
         with pytest.raises(ParameterError):
             run_event_to_item(lambda p: run_zero(p), s)
+
+
+def test_quiet_known_k_run_traced_peak():
+    """A quiet run's scan window stays capped: a 10^5-step known-K run holds
+    its outputs list (0.8 MB) and little else.  It peaked at 1.3 MB with the
+    capped window and at 2.3 MB with a window that doubled to the stream's
+    length."""
+    s = random_stream(10**4, 10**5, "likes", True, 10**5, 1)
+    tracemalloc.start()
+    try:
+        result = run_known_k(PrivacyParams(0.5), 0.1, s.T, s.T, s, RandomSource(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.yes_events == 0  # the threshold is above d: no refresh
+    assert peak <= 1.75e6, f"run_known_k peaked at {peak / 1e6:.2f} MB"

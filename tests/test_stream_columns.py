@@ -366,10 +366,12 @@ SHAPES = {
 }
 
 
-@pytest.mark.parametrize("shape, bound_mb", [("churn-multi", 16), ("quiet-singleton", 8)],
+@pytest.mark.parametrize("shape, bound_mb", [("churn-multi", 11), ("quiet-singleton", 5.5)],
                          ids=list(SHAPES))
 def test_read_file_traced_peak(tmp_path, shape, bound_mb):
-    """read_file's traced memory peak stays a few times the file's size."""
+    """read_file's traced memory peak stays a few times the file's size:
+    about 1.5 times the measured 7.5 MB (churn-multi) and 3.6 MB
+    (quiet-singleton), with the columns kept narrow."""
     made = SHAPES[shape]()
     path = tmp_path / "s.dstream"
     streammod.write_file(made, path)
