@@ -14,25 +14,25 @@ read-only numpy arrays, each in the narrowest type that holds it, so that the
 types depend only on d and the update count: ``offsets`` (length + 1 entries,
 the narrowest unsigned type that holds the update count), ``items``
 (``np.min_scalar_type(d)``) and ``deltas`` (int8); batch t (1-based) is
-``items[offsets[t-1]:offsets[t]]`` paired with the same slice of ``deltas``.  The list form ``batches`` is built from
-the arrays when it is first read.  One vectorised pass in the constructor
-checks every batch and, in the same pass, records the exact distinct count
-after every step (the count sequence q_t), the flippancy of each item it
-updates (how often the item's presence indicator flips, with the indicator
-defined to be 0 before the stream starts), the first likes-model violation
-and whether every batch is a singleton.  The oracles below read these stored
-values, and mechanisms read q_t from the stream instead of replaying its
-batches.  ``CounterState`` and ``apply_batch`` replay batches one at a time
-for callers that feed a mechanism batch by batch.  The module also provides
-the ``.dstream`` text format (grammar below), which ``loads`` and, on a file's
-bytes in place, ``read_file`` parse straight into the arrays: class-pair codes
-check the grammar and find each colon, each item is read back from its colon,
-a "+1" or "-1" delta without the digit loop, and each temporary is freed once
-read, in the parser and in the validation pass.  ``write_file`` writes the
-text from the arrays with one numpy byte writer, a block of updates at a
-time: each token is a row of one uint8 matrix, its item's digits laid out by
-``_int_bytes``, the integer-to-ASCII routine the ``run`` CSV writer shares,
-and ``dumps`` decodes the same bytes.
+``items[offsets[t-1]:offsets[t]]`` paired with the same slice of ``deltas``.
+The list form ``batches`` is built from the arrays when it is first read.  One
+vectorised pass in the constructor checks every batch and, in the same pass,
+records the exact distinct count after every step (the count sequence q_t),
+the flippancy of each item it updates (how often the item's presence indicator
+flips, with the indicator defined to be 0 before the stream starts), the first
+likes-model violation and whether every batch is a singleton.  The oracles
+below read these stored values, and mechanisms read q_t from the stream
+instead of replaying its batches.  ``CounterState`` and ``apply_batch`` replay
+batches one at a time for callers that feed a mechanism batch by batch.  The
+module also provides the ``.dstream`` text format (grammar below), which
+``loads`` and, on a file's bytes in place, ``read_file`` parse straight into
+the arrays: class-pair codes check the grammar and find each colon, each item
+is read back from its colon, a "+1" or "-1" delta without the digit loop, and
+each temporary is freed once read, in the parser and in the validation pass.
+``write_file`` writes the text from the arrays with one numpy byte writer, a
+block of updates at a time: each token is a row of one uint8 matrix, its
+item's digits laid out by ``_int_bytes``, the integer-to-ASCII routine the
+``run`` CSV writer shares, and ``dumps`` decodes the same bytes.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class Stream:
         bad_delta = np.count_nonzero(np.abs(deltas) != 1)
         narrow = np.min_scalar_type(self.d)
         key = items
-        if n >= _RADIX_MIN:  # a long stream is narrowed first, so the sort never holds a wide copy
+        if n >= _RADIX_MIN:  # range-check and narrow first: the wide ids are freed before the sort
             lo, hi = items.min(), items.max()
             if lo >= 1 and hi <= self.d:
                 self.items = items = key = items.astype(narrow, copy=False)

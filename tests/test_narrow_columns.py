@@ -54,7 +54,7 @@ def test_every_constructor_stores_the_narrow_types(tmp_path, d, items_type, n, o
     s = Stream(d, n, "general", batches)
     assert (s.items.dtype, s.offsets.dtype) == (items_type, offsets_type)
     assert_narrow(s)
-    wide = [np.array(c, dtype=np.int64) for c in (s.offsets.tolist(), s.items.tolist(), s.deltas.tolist())]
+    wide = [np.array(a.tolist(), dtype=np.int64) for a in (s.offsets, s.items, s.deltas)]
     built = [
         Stream.from_columns(d, n, "general", *wide),
         Stream.from_columns(d, n, "general", *(c.tolist() for c in wide)),
@@ -97,7 +97,8 @@ def test_narrow_and_int64_inputs_build_equal_streams(data):
     batches = data.draw(st.lists(batch, max_size=8))
     model = data.draw(st.sampled_from(["general", "likes"]))
     offsets = np.cumsum([0] + [len(b) for b in batches])
-    columns = [offsets.tolist(), [i for b in batches for i, _ in b], [v for b in batches for _, v in b]]
+    updates = [u for b in batches for u in b]
+    columns = [offsets.tolist(), [i for i, _ in updates], [v for _, v in updates]]
     if max(columns[1], default=0) >= 2**63:  # d + 1 past int64 holds no id
         return
     wide = [np.array(c, dtype=np.int64) for c in columns]
@@ -187,7 +188,8 @@ def test_pair_order_is_the_lexsort_order(top, span):
 
 @pytest.mark.parametrize(
     "d, T, model, singleton, K",
-    [(MAX_ID, 6, "general", True, 5), (2**62, 4, "likes", True, 4), (2**62 - 1, 2, "likes", False, 3)],
+    [(MAX_ID, 6, "general", True, 5), (2**62, 4, "likes", True, 4),
+     (2**62 - 1, 2, "likes", False, 3)],
 )
 def test_random_stream_sorts_keys_past_int64(d, T, model, singleton, K):
     # the largest id times T, or (d + 1) * T, reaches 2^63: the lexsort branch
