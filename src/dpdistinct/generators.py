@@ -231,15 +231,15 @@ def _replace_entries(
     offsets, keep = stream.offsets, ~drop
     sizes = offsets[1:] - offsets[:-1]
     step = np.concatenate((np.arange(stream.length).repeat(sizes)[keep], steps))
-    # int64 holds every id, and mixes with the int64 positions in key below
-    items = np.concatenate((stream.items[keep], np.full(len(steps), item)), dtype=np.int64)
+    items = np.concatenate((stream.items[keep], np.full(len(steps), item, stream.items.dtype)))
     order = slice(None)  # no batch gains an entry, so none is reordered
     if len(steps):
         gains = np.zeros(stream.length, dtype=bool)
         gains[steps] = True
         within = (np.arange(len(drop)) - offsets[:-1].repeat(sizes))[keep]
-        # inside a batch: by item where it gains an entry, else as it was
-        key = np.where(gains[step], items, np.concatenate((within, steps)))
+        # inside a batch: by item where it gains an entry, else as it was; the
+        # ids as int64, since uint64 ids mixed with int64 positions go float
+        key = np.where(gains[step], items.astype(np.int64), np.concatenate((within, steps)))
         order = np.lexsort((key, step))
     deltas = np.concatenate((stream.deltas[keep], deltas))
     out = _assemble(

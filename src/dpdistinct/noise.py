@@ -12,15 +12,16 @@ regardless of mode; ``laplace_draws`` counts only live (non-zero-mode) draws.
 
 Every Laplace draw reads one buffer of uniforms, refilled in blocks of at
 least ``_BLOCK`` by ``Generator.random(n)``, which yields the same values as
-n scalar ``random()`` calls.  ``laplace(b)``, the one exact Laplace path,
-transforms the next buffered uniform with ``math.log``.  ``ahead(n)``
-returns the next n draws at unit scale, transformed with ``np.log`` when
-their block was drawn, so ``svt.AboveThreshold.scan`` can pick in one numpy
-pass the few tests that might fire, and ``take(k)`` consumes k draws.  A
-Gaussian draw first rewinds the generator to just after the last uniform
-taken (the saved bit-generator state, then ``advance``) and empties the
-buffer, so every draw, of either kind, is the one that scalar ``random()``
-and ``standard_normal()`` calls in the same order would give.
+n scalar ``random()`` calls.  The buffer holds the uniforms only.
+``laplace(b)``, the one exact Laplace path, transforms the next buffered
+uniform with ``math.log``.  ``ahead(n)`` transforms the next n uniforms
+with ``np.log`` as it reads them and returns their draws at unit scale, so
+``svt.AboveThreshold.scan`` can pick in one numpy pass the few tests that
+might fire, and ``take(k)`` consumes k draws.  A Gaussian draw first
+rewinds the generator to just after the last uniform taken (the saved
+bit-generator state, then ``advance``) and empties the buffer, so every
+draw, of either kind, is the one that scalar ``random()`` and
+``standard_normal()`` calls in the same order would give.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class RandomSource:
         self.gaussian_calls = 0
         self.gaussian_draws = 0
         self._live = mode == LIVE
-        self._u = self._unit = np.empty(0)  # buffered uniforms, their unit draws
+        self._u = np.empty(0)  # buffered uniforms
         self._pos = 0  # index of the next draw in _u
         self._state = None  # bit-generator state before the first buffered block
         self._drawn = 0  # uniforms drawn since _state, zeros included
@@ -77,7 +78,7 @@ class RandomSource:
             self._rng = np.random.default_rng(seed)
 
     def _fill(self, n: int) -> None:
-        """Draw blocks of uniforms until n draws are ahead."""
+        """Draw blocks of uniforms until n are ahead."""
         while (short := n - (len(self._u) - self._pos)) > 0:
             size = max(short, _BLOCK)
             if self._state is None:
@@ -87,19 +88,13 @@ class RandomSource:
                 self._zeros += (np.flatnonzero(r == 0.0) + self._drawn).tolist()
                 r = r[r != 0.0]
             self._drawn += size
-            u = r - 0.5
-            unit = np.log(1.0 - 2.0 * np.abs(u))
-            np.copysign(unit, u, out=unit)
-            np.negative(unit, out=unit)
             if self._pos < len(self._u):
                 r = np.concatenate((self._u[self._pos :], r))
-                unit = np.concatenate((self._unit[self._pos :], unit))
-            self._u, self._unit = r, unit
-            self._pos = 0
+            self._u, self._pos = r, 0
 
     def ahead(self, n: int) -> np.ndarray:
-        """The next n Laplace draws at unit scale, as a view (zeros in zero
-        mode).
+        """The next n Laplace draws at unit scale, as a new array (zeros in
+        zero mode).
 
         ``np.log`` can differ from ``math.log`` by an ulp, so each entry is
         within a few ulps of the unit draw that ``laplace`` makes.
@@ -107,7 +102,10 @@ class RandomSource:
         if not self._live:
             return np.zeros(n)
         self._fill(n)
-        return self._unit[self._pos : self._pos + n]
+        u = self._u[self._pos : self._pos + n] - 0.5
+        unit = np.log(1.0 - 2.0 * np.abs(u))
+        np.copysign(unit, u, out=unit)
+        return np.negative(unit, out=unit)
 
     def take(self, k: int) -> None:
         """Consume the next k Laplace draws."""
@@ -143,7 +141,7 @@ class RandomSource:
             bg = self._rng.bit_generator
             bg.state = self._state
             bg.advance(used)
-        self._u = self._unit = np.empty(0)
+        self._u = np.empty(0)
         self._pos = self._drawn = 0
         self._state = None
         self._zeros = []

@@ -425,16 +425,15 @@ def _digits_back(buf: np.ndarray, base: int, at: np.ndarray):
     return value
 
 
-def _parse_columns(data: bytes, start: int = 0):
+def _parse_columns(data: bytes, start: int):
     """Parse the data lines of ``data[start:]``, each ended by "\\n", into
-    a list [offsets, items, deltas], or return None.
+    a list [offsets, items, deltas], or return None.  ``start > 18``, as after
+    a header that ``_parse`` accepts: the digit loop reads up to 19 bytes before a token.
 
     The text parses when every token, split on spaces and tabs, matches
     ``_TOKEN``; the arrays then hold its numbers, line by line.  Any other
     text, such as a byte outside ASCII or another line break, returns None.
     """
-    if start <= _MAX_DIGITS:  # the digit loop reads up to 19 bytes before a token
-        data, start = b"\n" * (_MAX_DIGITS + 1) + data[start:], _MAX_DIGITS + 1
     buf = np.frombuffer(data, dtype=np.uint8)
     body = buf[start:]
     cls = np.frombuffer(data.translate(_CLASS), dtype=np.uint8, offset=start - 1)
@@ -485,7 +484,7 @@ def _bad_token(lines: list[str]) -> StreamFormatError:
     raise AssertionError("_parse_columns rejected text that matches the grammar")
 
 
-def _parse(header_line: str, data: bytes, start: int = 0):
+def _parse(header_line: str, data: bytes, start: int):
     """Check a header line, then parse the data lines of ``data[start:]``,
     each ended by "\\n": (d, T, model, columns), columns None if
     ``_parse_columns`` rejects them."""
@@ -524,8 +523,8 @@ def loads(text: str) -> Stream:
     lines = text.splitlines()
     if not lines:
         raise StreamFormatError("empty .dstream input")
-    body = "\n".join([*lines[1:], ""]).encode("ascii", "replace")
-    d, T, model, columns = _parse(lines[0], body)
+    data = "\n".join([*lines, ""]).encode("ascii", "replace")  # a byte per character
+    d, T, model, columns = _parse(lines[0], data, len(lines[0]) + 1)
     if columns is None:
         raise _bad_token(lines[1:])
     return _build(d, T, model, columns)

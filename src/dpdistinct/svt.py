@@ -67,7 +67,8 @@ class AboveThreshold:
         src = self._src
         b = 4.0 / self.eps
         rhs = self.thresh + self.tau
-        lhs = b * src.ahead(len(values))
+        lhs = src.ahead(len(values))
+        lhs *= b
         lhs += values
         slack = 2.0**-40 * (abs(rhs) + b * UNIT_BOUND)
         taken = 0

@@ -174,6 +174,12 @@ def test_source_matches_raw_generator(ops, mode, seed):
                 ref.bit_generator.state = state
                 want = [_ref_laplace(u, 1.0) for u in us]
                 np.testing.assert_allclose(unit, want, rtol=1e-13)  # np.log's ulps
+                # bitwise the numpy transform of the same uniforms, read in one window
+                u = np.array(us) - 0.5
+                exact = -np.copysign(np.log(1.0 - 2.0 * np.abs(u)), u)
+                assert unit.tobytes() == exact.tobytes()
+                unit *= 2.0  # a new array: scaling it leaves the buffer as it was
+                assert src.ahead(n).tobytes() == exact.tobytes()
                 _ref_uniforms(ref, k)
             else:
                 assert not unit.any()

@@ -255,8 +255,9 @@ TAIL = st.one_of(
 def test_column_parser_accepts_exactly_the_grammar(text, tail):
     lines = (text + tail).splitlines()[1:]
     bad = first_bad_token(lines)
-    body = "".join(line + "\n" for line in lines).encode("ascii", "replace")
-    assert (streammod._parse_columns(body) is None) == (bad is not None)
+    header = f"dstream 1 7 {len(lines)} general\n"  # the parser reads from its end
+    data = "".join([header, *(line + "\n" for line in lines)]).encode("ascii", "replace")
+    assert (streammod._parse_columns(data, len(header)) is None) == (bad is not None)
     if bad is not None:
         body = "\n".join([f"dstream 1 7 {len(lines)} general", *lines])
         with pytest.raises(StreamFormatError) as info:
