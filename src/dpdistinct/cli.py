@@ -9,6 +9,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from contextlib import nullcontext
 
@@ -36,10 +37,24 @@ def _float_bytes(x: np.ndarray) -> np.ndarray:
     return text.view(np.uint8).reshape(len(bits), text.itemsize)[rows]
 
 
+def _byte_writer(fh):
+    """A write function for bytes on ``fh``: a binary file's own ``write``, a
+    text file's binary buffer (flushed first, so earlier text stays in front),
+    or, for a text file without one (a ``StringIO`` ``sys.stdout``), ASCII text."""
+    if not isinstance(fh, io.TextIOBase):
+        return fh.write
+    if getattr(fh, "buffer", None) is None:
+        return lambda data: fh.write(data.decode("ascii"))
+    fh.flush()
+    return fh.buffer.write
+
+
 def _write_rows(fh, outputs: np.ndarray, truth: np.ndarray, errors: np.ndarray) -> None:
     """Write "%d,%.12g,%d,%.12g\\n" % (t, output, truth, error) for t = 1, 2, ...
+    as bytes (``_byte_writer``), "\\n" ending each row on every platform.
     Each block's fields and separators lie side by side in one uint8 matrix,
     whose non-NUL bytes, read row by row, are the block's text."""
+    write = _byte_writer(fh)
     for lo in range(0, len(outputs), CSV_BLOCK):
         hi = min(lo + CSV_BLOCK, len(outputs))
         comma = np.full((hi - lo, 1), ord(","), np.uint8)
@@ -49,7 +64,7 @@ def _write_rows(fh, outputs: np.ndarray, truth: np.ndarray, errors: np.ndarray) 
             _int_bytes(truth[lo:hi]), comma,
             _float_bytes(errors[lo:hi]), np.full_like(comma, ord("\n")),
         ])
-        fh.write(block[block != 0].tobytes().decode("ascii"))
+        write(block[block != 0].tobytes())
 
 
 MECHANISMS = (
@@ -175,13 +190,14 @@ def cmd_run(args) -> int:
     src = RandomSource(args.seed, args.noise)
     result = run_fn(src, s)
     outputs, errors = harness.release_errors(result, s)
-    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as fh:
-        fh.write("t,output,truth,abs_error\n")
+    with open(args.output, "wb") if args.output else nullcontext(sys.stdout) as fh:
+        write = _byte_writer(fh)
+        write(b"t,output,truth,abs_error\n")
         _write_rows(fh, outputs, s.counts[: len(outputs)], errors)
-        fh.write(
+        write(
             f"# max_error={_fmt(errors.max(initial=0.0))}"
             f" aborts={1 if result.abort_step is not None else 0}"
-            f" instances={result.instances}\n"
+            f" instances={result.instances}\n".encode("ascii")
         )
     return 0
 

@@ -537,15 +537,17 @@ def read_file(path) -> Stream:
     read by ``loads``, which gives the same stream or error as for that text."""
     with open(path, "rb") as fh:
         data = fh.read()
-    ended = data if data.endswith(b"\n") else data + b"\n"  # every line ends in "\n"
-    start = ended.index(b"\n") + 1
-    header_line = ended[: start - 1].decode("latin-1")
+    added = not data.endswith(b"\n")
+    if added:  # every line ends in "\n"; the file without it is freed here
+        data += b"\n"
+    start = data.index(b"\n") + 1
+    header_line = data[: start - 1].decode("latin-1")
     if header_line.isascii() and header_line.splitlines() == [header_line]:
         try:
-            d, T, model, columns = _parse(header_line, ended, start)
+            d, T, model, columns = _parse(header_line, data, start)
         except StreamFormatError:  # loads raises it too, once the text decodes
             columns = None
         if columns is not None:  # then the whole file is ASCII
-            del data, ended  # free the file before the validation pass
+            del data  # free the file before the validation pass
             return _build(d, T, model, columns)
-    return loads(data.decode("utf-8"))
+    return loads((data[:-1] if added else data).decode("utf-8"))

@@ -668,11 +668,13 @@ class TestNoTraceback:
 
 
 def run_child(*argv, **env):
-    """Run the interpreter on argv with the package on PYTHONPATH."""
+    """Run the interpreter on argv with the package on PYTHONPATH; a variable
+    given as None is removed from the child's environment."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src, **env}
     return subprocess.run(
         [sys.executable, *argv], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src, **env},
+        env={k: v for k, v in env.items() if v is not None},
     )
 
 
@@ -693,3 +695,48 @@ class TestChildProcess:
         lf = write_stream(tmp_path, "lf.dstream", "dstream 1 4 4 likes\n1:+1\n2:+1\n")
         assert main(["run", "--input", lf, "--mechanism", "zero"]) == 0
         assert child.stdout == capsys.readouterr().out
+
+
+# the child's OS thread count and its OPENBLAS_NUM_THREADS, printed on stderr
+THREADS = ("import os, sys; print(len(os.listdir('/proc/self/task')),"
+           " os.environ.get('OPENBLAS_NUM_THREADS'), file=sys.stderr)")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+class TestOpenBLASThreads:
+    """The package makes no BLAS call: importing it first loads numpy with one
+    OpenBLAS thread, unless the caller chose a count, and leaves os.environ as
+    it was."""
+
+    def test_import_starts_no_blas_thread(self):
+        child = run_child("-c", f"import dpdistinct.cli\n{THREADS}", OPENBLAS_NUM_THREADS=None)
+        assert (child.returncode, child.stderr) == (0, "1 None\n")
+
+    def test_module_entry_point_starts_no_blas_thread(self):
+        code = (
+            "import runpy, sys\n"
+            "sys.argv = ['dpdistinct', 'bounds', '--eps', '1', '--beta', '0.1',\n"
+            "            '--K', '4', '--T', '8', '--d', '16']\n"
+            "try:\n"
+            "    runpy.run_module('dpdistinct.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            f"{THREADS}"
+        )
+        child = run_child("-c", code, OPENBLAS_NUM_THREADS=None)
+        assert (child.returncode, child.stderr) == (0, "1 None\n")
+        assert child.stdout.endswith("min=4\n")
+
+    def test_caller_thread_count_is_kept(self):
+        child = run_child("-c", f"import dpdistinct.cli\n{THREADS}", OPENBLAS_NUM_THREADS="2")
+        assert child.returncode == 0, child.stderr
+        threads, value = child.stderr.split()
+        assert value == "2"
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert threads == "2"
+
+    def test_numpy_imported_first_is_left_alone(self):
+        code = ("import os, numpy\nbefore = dict(os.environ)\nimport dpdistinct.cli\n"
+                "print(dict(os.environ) == before)")
+        child = run_child("-c", code, OPENBLAS_NUM_THREADS=None)
+        assert (child.returncode, child.stdout, child.stderr) == (0, "True\n", "")

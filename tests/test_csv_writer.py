@@ -72,3 +72,20 @@ def test_block_writer_matches_per_row_formatter(tmp_path_factory, cols):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         _write_rows(sys.stdout, *cols)
     assert first_difference(out.getvalue(), want) is None
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target],
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(columns())
+def test_block_writer_writes_bytes_to_binary_files(tmp_path_factory, cols):
+    """`run` writes its CSV as bytes, to a file opened "wb" or to
+    sys.stdout.buffer; the bytes are the per-row text's ASCII bytes."""
+    want = reference(*cols)
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    with open(path, "wb") as fh:
+        _write_rows(fh, *cols)
+    assert first_difference(path.read_bytes().decode("ascii"), want) is None
+    out = io.BytesIO()
+    _write_rows(out, *cols)
+    assert first_difference(out.getvalue().decode("ascii"), want) is None
