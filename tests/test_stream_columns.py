@@ -390,9 +390,8 @@ def test_read_file_unended_traced_peak(tmp_path):
     """A file whose last line has no "\\n" is read with one copy of its text:
     churn-multi's text, its trailing "\\n"s stripped, peaked at 9.5 MB with
     two copies, and at 7.5 MB with one, as when the text ends in "\\n"."""
-    made = SHAPES["churn-multi"]()
     path = tmp_path / "s.dstream"
-    streammod.write_file(made, path)
+    streammod.write_file(SHAPES["churn-multi"](), path)
     text = path.read_bytes().rstrip(b"\n")  # the last steps are empty lines
     path.write_bytes(text)
     tracemalloc.start()
