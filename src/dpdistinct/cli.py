@@ -67,15 +67,21 @@ def _write_rows(fh, outputs: np.ndarray, truth: np.ndarray, errors: np.ndarray) 
         write(block[block != 0].tobytes())
 
 
-MECHANISMS = (
-    "known-k",
-    "unknown-k",
-    "unknown-k-all",
-    "zero",
-    "laplace-T",
-    "gaussian-T",
-    "continual-likes",
-)
+# each mechanism's run, from (flags, privacy params, T, source, stream); the
+# mechanisms.run_* attribute is looked up at call time, so a wrapper set on it
+# after this import (perfbench/traced.py sets one) is the one that runs
+_RUNNERS = {
+    "known-k": lambda a, pp, T, src, s: mechanisms.run_known_k(pp, a.beta, T, a.K, s, src),
+    "unknown-k": lambda a, pp, T, src, s: mechanisms.run_unknown_k(pp, a.beta, T, s, src),
+    "unknown-k-all": lambda a, pp, T, src, s: mechanisms.run_unknown_k_all_bounds(
+        pp, a.beta, T, s, src
+    ),
+    "zero": lambda a, pp, T, src, s: mechanisms.run_zero(s),
+    "laplace-T": lambda a, pp, T, src, s: mechanisms.run_laplace_baseline(pp, T, s, src),
+    "gaussian-T": lambda a, pp, T, src, s: mechanisms.run_gaussian_baseline(pp, T, s, src),
+    "continual-likes": lambda a, pp, T, src, s: mechanisms.run_continual_likes(a.eps, T, s, src),
+}
+MECHANISMS = tuple(_RUNNERS)
 
 
 def int64(text: str) -> int:
@@ -97,27 +103,11 @@ def _add_mechanism_flags(p: argparse.ArgumentParser) -> None:
 
 def _make_run_fn(args, T: int):
     """Build a (src, stream) -> RunResult callable from CLI flags."""
-    name = args.mechanism
     pp = mechanisms.PrivacyParams(args.eps, args.delta)  # checked also where ignored
-    if name == "zero":
-        return lambda src, s: mechanisms.run_zero(s)
-    if name == "continual-likes":
-        return lambda src, s: mechanisms.run_continual_likes(args.eps, T, s, src)
-    if name == "known-k":
-        if args.K is None:
-            raise ParameterError("--K is required for mechanism known-k")
-        return lambda src, s: mechanisms.run_known_k(pp, args.beta, T, args.K, s, src)
-    if name == "unknown-k":
-        return lambda src, s: mechanisms.run_unknown_k(pp, args.beta, T, s, src)
-    if name == "unknown-k-all":
-        return lambda src, s: mechanisms.run_unknown_k_all_bounds(
-            pp, args.beta, T, s, src
-        )
-    if name == "laplace-T":
-        return lambda src, s: mechanisms.run_laplace_baseline(pp, T, s, src)
-    if name == "gaussian-T":
-        return lambda src, s: mechanisms.run_gaussian_baseline(pp, T, s, src)
-    raise ParameterError(f"unknown mechanism {name!r}")
+    if args.mechanism == "known-k" and args.K is None:
+        raise ParameterError("--K is required for mechanism known-k")
+    runner = _RUNNERS[args.mechanism]
+    return lambda src, s: runner(args, pp, T, src, s)
 
 
 def _load_stream(path: str, args) -> tuple[Stream, int]:

@@ -150,6 +150,9 @@ def default_projection_step(x: Stream, y: Stream) -> int:
     return int(np.abs(x.counts[:n] - y.counts[:n]).argmax())
 
 
+FLOOR = 1e-4  # the probe skips a bin whose smaller smoothed mass is below this
+
+
 def privacy_probe(
     run_fn: RunFn,
     x: Stream,
@@ -158,14 +161,14 @@ def privacy_probe(
     n_samples: int = 10**6,
     base_seed: int = 0,
     delta: float = 0.0,
-    floor: float = 1e-4,
 ) -> ProbeResult:
     """Histogram-based lower-bound witness for the privacy loss.
 
     The outputs at ``default_projection_step`` under x and y are binned;
     counts are Laplace-smoothed by +1 and bins whose smaller smoothed mass is
-    below ``floor`` are skipped, preventing ratio blowups.  The reported value is the largest
-    absolute log-ratio after subtracting the delta allowance.
+    below ``FLOOR`` are skipped, preventing ratio blowups.  The reported value
+    is the largest absolute log-ratio after subtracting the delta allowance.
+    Both streams need at least one step.
     """
     if not (math.isfinite(bin_width) and bin_width > 0):
         raise ParameterError(f"bin width must be positive and finite, got {bin_width}")
@@ -173,6 +176,8 @@ def privacy_probe(
         raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
     if not 0 <= delta < 1:  # as PrivacyParams checks it; NaN fails too
         raise ParameterError(f"delta must be in [0, 1), got {delta}")
+    if min(x.length, y.length) == 0:
+        raise ParameterError("the probe needs at least one step in x and in y")
     step = default_projection_step(x, y)
 
     def bin_of(result: RunResult) -> int:
@@ -199,7 +204,7 @@ def privacy_probe(
     for b in bins:
         px = (hist_x[b] + 1) / denom
         py = (hist_y[b] + 1) / denom
-        if min(px, py) < floor:
+        if min(px, py) < FLOOR:
             continue
         eligible += 1
         candidates = []

@@ -152,9 +152,9 @@ class KnownKMechanism:
     takes the count step; callers that only use ``step_count`` pass None as
     ``counters``.
 
-    ``freeze`` turns this into the variant that never updates its released
-    value: the threshold test and abort bookkeeping run unchanged against the
-    externally supplied frozen estimate.
+    A ``frozen_out`` turns this into the variant that never updates its
+    released value (``freeze`` is then True): the threshold test and abort
+    bookkeeping run unchanged against that externally supplied estimate.
 
     Each estimate is watched by its own ``AboveThreshold``, ``_query``, on
     the gap |out - q_t|.  The runners do not call ``step_count``: ``_scan``
@@ -163,21 +163,16 @@ class KnownKMechanism:
     """
 
     def __init__(
-        self,
-        config: KnownKConfig,
-        counters,
-        src: RandomSource,
-        freeze: bool = False,
-        frozen_out: float = 0.0,
+        self, config: KnownKConfig, counters, src: RandomSource, frozen_out: float | None = None
     ):
         self.config = config
         self.counters = counters
         self._src = src
-        self.freeze = freeze
+        self.freeze = frozen_out is not None
         self.count = 1
         self._query = AboveThreshold(config.eps1, config.thresh, src)
         nu = src.laplace(1.0 / config.eps1)
-        self.out = frozen_out if freeze else 0.0 + nu
+        self.out = frozen_out if self.freeze else 0.0 + nu
         self.aborted = False
         self.yes_events = 0
 
@@ -391,7 +386,7 @@ def _doubling(
                 f" = {eps_j:.6g}, and approximate DP requires eps_1 < 1"
             )
         config = derive_known_k_config(PrivacyParams(eps_j, delta_j), K_j, T, beta_j)
-        mech = KnownKMechanism(config, None, src, freeze=bounds and K_j < B_j, frozen_out=out)
+        mech = KnownKMechanism(config, None, src, out if bounds and K_j < B_j else None)
         t = _scan(mech, counts, t, outputs)
         yes_total += mech.yes_events
         if bounds:  # the boundary refresh: the released value between instances

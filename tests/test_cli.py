@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from dpdistinct import cli, generators, harness, stream as streammod
+from dpdistinct import cli, generators, harness, mechanisms, stream as streammod
 from dpdistinct.cli import main
 from dpdistinct.stream import distinct_counts
 
@@ -207,6 +207,31 @@ class TestRun:
         assert capsys.readouterr().err == (
             "input error: line 3: step 2: item 2 appears twice in one batch\n"
         )
+
+
+class TestRunnerTable:
+    # each mechanism's runner, in the order of argparse's choices and --help
+    CALLS = {"known-k": "run_known_k", "unknown-k": "run_unknown_k",
+             "unknown-k-all": "run_unknown_k_all_bounds", "zero": "run_zero",
+             "laplace-T": "run_laplace_baseline", "gaussian-T": "run_gaussian_baseline",
+             "continual-likes": "run_continual_likes"}
+
+    def test_mechanisms_keep_their_order(self):
+        assert cli.MECHANISMS == tuple(self.CALLS)
+
+    @pytest.mark.parametrize("name", cli.MECHANISMS)
+    def test_runner_is_looked_up_at_call_time(self, tmp_path, monkeypatch, name):
+        # perfbench/traced.py wraps mechanisms.run_* after importing the CLI
+        ran = []
+        for attr in set(self.CALLS.values()):
+            def recording(*args, _attr=attr, _orig=getattr(mechanisms, attr), **kwargs):
+                ran.append(_attr)
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(mechanisms, attr, recording)
+        rc = main(["run", "--input", write_stream(tmp_path), "-o", str(tmp_path / "out.csv"),
+                   "--mechanism", name, "--eps", "0.5", "--delta", "1e-6", "--K", "4"])
+        assert (rc, ran) == (0, [self.CALLS[name]])
 
 
 class TestTrials:

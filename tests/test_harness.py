@@ -188,9 +188,11 @@ class TestProbe:
         assert 0.2 <= result.eps_hat <= eps + 0.1
 
     def test_floor_can_force_inconclusive(self):
+        # Lap(1e12) puts each of the 2 x 4000 samples in a unit bin of its own,
+        # so every bin's smaller smoothed mass is 1/12000, below FLOOR
         s = Stream(d=2, T=1, model="likes", batches=[[(1, 1)]])
-        run_fn = lambda src, st: run_laplace_baseline(PrivacyParams(1.0), 1, st, src)
-        result = privacy_probe(run_fn, s, s, n_samples=200, base_seed=5, floor=1.0)
+        run_fn = lambda src, st: run_laplace_baseline(PrivacyParams(1e-12), 1, st, src)
+        result = privacy_probe(run_fn, s, s, n_samples=4000, base_seed=5)
         assert result.status == "inconclusive"
         assert result.eps_hat is None
 
@@ -200,6 +202,17 @@ class TestProbe:
         s = Stream(d=2, T=1, model="likes", batches=[[(1, 1)]])
         with pytest.raises(ParameterError, match=r"delta must be in \[0, 1\)"):
             privacy_probe(lambda src, st: run_zero(st), s, s, n_samples=3, delta=delta)
+
+    @pytest.mark.parametrize("empty", ["x", "y", "both"])
+    def test_stream_with_no_steps_is_parameter_error(self, empty):
+        # there is no step to project on; the histograms would index a release
+        # that the run never made
+        one = Stream(d=2, T=1, model="likes", batches=[[(1, 1)]])
+        none = Stream(d=2, T=1, model="likes", batches=[])
+        x = none if empty in ("x", "both") else one
+        y = none if empty in ("y", "both") else one
+        with pytest.raises(ParameterError, match="at least one step in x and in y"):
+            privacy_probe(lambda src, st: run_zero(st), x, y, n_samples=2)
 
     def test_delta_allowance_reduces_estimate(self):
         x = Stream(d=2, T=1, model="likes", batches=[[(1, 1)]])

@@ -130,9 +130,7 @@ class TestKnownKMechanism:
 
     def test_freeze_keeps_external_estimate(self):
         cfg = manual_config(S_K=2, thresh=5.0)
-        mech = KnownKMechanism(
-            cfg, CounterState(30), RandomSource(0, "zero"), freeze=True, frozen_out=7.0
-        )
+        mech = KnownKMechanism(cfg, CounterState(30), RandomSource(0, "zero"), frozen_out=7.0)
         assert mech.out == 7.0
         out = mech.step([(i, 1) for i in range(1, 21)])  # gap 13 > 5: fires
         assert out == 7.0  # released value never moves

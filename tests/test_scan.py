@@ -76,20 +76,19 @@ def state(mech):
     S_K=st.integers(1, 6),
     thresh=st.floats(0.0, 40.0),
     eps1=st.sampled_from([0.1, 0.5, 1.0, 4.0]),
-    freeze=st.booleans(),
-    frozen_out=st.floats(-20.0, 80.0),
+    frozen_out=st.none() | st.floats(-20.0, 80.0),
     mode=st.sampled_from(["live", "zero"]),
     seed=st.integers(0, 2**32),
 )
-def test_scan_matches_step_count(q, start, S_K, thresh, eps1, freeze, frozen_out, mode, seed):
+def test_scan_matches_step_count(q, start, S_K, thresh, eps1, frozen_out, mode, seed):
     cfg = KnownKConfig(
         eps=1.0, delta=0.0, K=1, T=100, beta=0.1, S_K=S_K, eps1=eps1, thresh=thresh
     )
     q = np.array(q, dtype=np.int64)
     start = min(start, len(q))
     src_a, src_b = RandomSource(seed, mode), RandomSource(seed, mode)
-    mech_a = KnownKMechanism(cfg, None, src_a, freeze=freeze, frozen_out=frozen_out)
-    mech_b = KnownKMechanism(cfg, None, src_b, freeze=freeze, frozen_out=frozen_out)
+    mech_a = KnownKMechanism(cfg, None, src_a, frozen_out=frozen_out)
+    mech_b = KnownKMechanism(cfg, None, src_b, frozen_out=frozen_out)
     outs_a, outs_b = [], []
     t_a = mechanisms._scan(mech_a, q, start, outs_a)
     t_b = step_loop(mech_b, q, start, outs_b)
