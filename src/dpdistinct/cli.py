@@ -1,15 +1,17 @@
 """Command-line entry point.
 
 Subcommands: generate | run | trials | bounds | probe | bench.  Exit codes:
-0 success, 1 parameter error, 2 input/validation error.  All floating-point
-values are printed with 12 significant digits so identical configurations
-produce byte-identical output.
+0 success, 1 parameter error, 2 input/validation error or a closed standard
+output.  All floating-point values are printed with 12 significant digits
+so identical configurations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
+import os
 import sys
 from contextlib import nullcontext
 
@@ -325,13 +327,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:  # a process's own command line: its exit skips numpy's teardown
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the exit's flush
+        return code
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)  # the exit's flush of fd 1 then succeeds
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     # OSError: a path that is missing, a directory or unreadable
     except (StreamFormatError, ModelViolationError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, formats, determinism, exit codes."""
 
+import gc
 import math
 import os
 import subprocess
@@ -692,14 +693,14 @@ class TestNoTraceback:
         )
 
 
-def run_child(*argv, **env):
-    """Run the interpreter on argv with the package on PYTHONPATH; a variable
-    given as None is removed from the child's environment."""
+def run_child(*argv, stdout=subprocess.PIPE, text=True, **env):
+    """Run the interpreter on argv with the package on PYTHONPATH and its stderr
+    captured; a variable given as None is removed from the child's environment."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src, **env}
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, timeout=120,
-        env={k: v for k, v in env.items() if v is not None},
+        [sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE, text=text,
+        timeout=120, env={k: v for k, v in env.items() if v is not None},
     )
 
 
@@ -722,6 +723,16 @@ class TestChildProcess:
         assert child.stdout == capsys.readouterr().out
 
 
+BOUNDS = ["bounds", "--eps", "1", "--beta", "0.1", "--K", "4", "--T", "8", "--d", "16"]
+# `python -m dpdistinct.cli bounds ...` through runpy, leaving the child running
+BOUNDS_AS_MODULE = (
+    "import runpy, sys\n"
+    f"sys.argv = ['dpdistinct', *{BOUNDS!r}]\n"
+    "try:\n"
+    "    runpy.run_module('dpdistinct.cli', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n"
+    "    assert exc.code == 0, exc.code\n"
+)
 # the child's OS thread count and its OPENBLAS_NUM_THREADS, printed on stderr
 THREADS = ("import os, sys; print(len(os.listdir('/proc/self/task')),"
            " os.environ.get('OPENBLAS_NUM_THREADS'), file=sys.stderr)")
@@ -738,17 +749,7 @@ class TestOpenBLASThreads:
         assert (child.returncode, child.stderr) == (0, "1 None\n")
 
     def test_module_entry_point_starts_no_blas_thread(self):
-        code = (
-            "import runpy, sys\n"
-            "sys.argv = ['dpdistinct', 'bounds', '--eps', '1', '--beta', '0.1',\n"
-            "            '--K', '4', '--T', '8', '--d', '16']\n"
-            "try:\n"
-            "    runpy.run_module('dpdistinct.cli', run_name='__main__', alter_sys=True)\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code\n"
-            f"{THREADS}"
-        )
-        child = run_child("-c", code, OPENBLAS_NUM_THREADS=None)
+        child = run_child("-c", BOUNDS_AS_MODULE + THREADS, OPENBLAS_NUM_THREADS=None)
         assert (child.returncode, child.stderr) == (0, "1 None\n")
         assert child.stdout.endswith("min=4\n")
 
@@ -765,3 +766,53 @@ class TestOpenBLASThreads:
                 "print(dict(os.environ) == before)")
         child = run_child("-c", code, OPENBLAS_NUM_THREADS=None)
         assert (child.returncode, child.stdout, child.stderr) == (0, "True\n", "")
+
+
+class TestExitFreeze:
+    """main() on the process's own command line freezes the heap, so the exit
+    skips numpy's teardown; main(argv) leaves the caller's heap as it was."""
+
+    def test_module_entry_point_freezes(self):
+        code = BOUNDS_AS_MODULE + "import gc; print(gc.get_freeze_count() > 0, file=sys.stderr)"
+        child = run_child("-c", code)
+        assert (child.returncode, child.stderr) == (0, "True\n")
+        assert child.stdout.endswith("min=4\n")
+
+    def test_main_with_argv_does_not_freeze(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(BOUNDS) == 0
+        assert gc.get_freeze_count() == before
+        assert capsys.readouterr().out.endswith("min=4\n")
+
+    def test_stdout_csv_matches_output_file(self, tmp_path):
+        path = str(tmp_path / "r.dstream")
+        assert main(["generate", "random", "--d", "100", "--T", "20000", "--K", "4000",
+                     "--seed", "3", "-o", path]) == 0
+        argv = ["run", "--input", path, "--mechanism", "known-k", "--K", "4000", "--seed", "5"]
+        out = tmp_path / "r.csv"
+        assert main([*argv, "-o", str(out)]) == 0
+        child = run_child("-m", "dpdistinct.cli", *argv, text=False)
+        assert (child.returncode, child.stderr) == (0, b"")
+        assert len(child.stdout) > 100_000  # many times the buffer the exit flushes
+        assert child.stdout == out.read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+@pytest.mark.parametrize("command", ["bounds", "trials", "run"])
+def test_closed_stdout_is_output_error(tmp_path, command, unbuffered):
+    path = write_stream(tmp_path)
+    argv = {
+        "bounds": BOUNDS,
+        "trials": ["trials", "--input", path, "--mechanism", "known-k", "--K", "4",
+                   "--trials", "3"],
+        "run": ["run", "--input", path, "--mechanism", "known-k", "--K", "4"],
+    }[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child starts
+    try:
+        child = run_child("-m", "dpdistinct.cli", *argv, stdout=write_end,
+                          PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+    assert child.returncode == 2
+    assert child.stderr.startswith("output error: ") and child.stderr.count("\n") == 1
