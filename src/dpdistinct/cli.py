@@ -108,6 +108,7 @@ def _make_run_fn(args, T: int):
     pp = mechanisms.PrivacyParams(args.eps, args.delta)  # checked also where ignored
     if args.mechanism == "known-k" and args.K is None:
         raise ParameterError("--K is required for mechanism known-k")
+    mechanisms.check_beta(args.beta)  # also where ignored
     runner = _RUNNERS[args.mechanism]
     return lambda src, s: runner(args, pp, T, src, s)
 
@@ -129,42 +130,30 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
         raise ParameterError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
+# each generate family's required flags and its build, from (the generators
+# module, flags, d); generate passes the module in, so only it imports it
+_FAMILIES = {
+    "blocks": (("m", "J", "Tprime"), lambda g, a, d: g.blocks_stream(
+        d, a.m, _int_list(a.J, "--J"), a.Tprime)),
+    "multiupdate": (("m", "I", "Tprime"), lambda g, a, d: g.multiupdate_stream(
+        d, a.m, _int_list(a.I, "--I"), a.Tprime)),
+    "marginals": (("file",), lambda g, a, d: (
+        g.marginals_to_stream_singleton if a.variant == "singleton" else g.marginals_to_stream_multi
+    )(g.read_marginals_file(a.file))),
+    "random": (("d", "T"), lambda g, a, d: g.random_stream(
+        d, a.T, a.model, singleton=a.singleton, target_K=a.K, seed=a.seed)),
+}
+
+
 def cmd_generate(args) -> int:
     from . import generators  # imported here only, so that other subcommands do not load it
 
+    flags, build = _FAMILIES[args.family]
+    if any(getattr(args, f) is None for f in flags):
+        raise ParameterError(f"{args.family} requires " + ", ".join(f"--{f}" for f in flags))
     d = args.m if args.d is None else args.d  # blocks and multiupdate: d = m by default
     try:
-        if args.family == "blocks":
-            if args.m is None or args.J is None or args.Tprime is None:
-                raise ParameterError("blocks requires --m, --J, --Tprime")
-            J = _int_list(args.J, "--J")
-            s = generators.blocks_stream(d, args.m, J, args.Tprime)
-        elif args.family == "multiupdate":
-            if args.m is None or args.I is None or args.Tprime is None:
-                raise ParameterError("multiupdate requires --m, --I, --Tprime")
-            I = _int_list(args.I, "--I")
-            s = generators.multiupdate_stream(d, args.m, I, args.Tprime)
-        elif args.family == "marginals":
-            if args.file is None:
-                raise ParameterError("marginals requires --file")
-            table = generators.read_marginals_file(args.file)
-            if args.variant == "singleton":
-                s = generators.marginals_to_stream_singleton(table)
-            else:
-                s = generators.marginals_to_stream_multi(table)
-        elif args.family == "random":
-            if args.d is None or args.T is None:
-                raise ParameterError("random requires --d and --T")
-            s = generators.random_stream(
-                d=args.d,
-                T=args.T,
-                model=args.model,
-                singleton=args.singleton,
-                target_K=args.K,
-                seed=args.seed,
-            )
-        else:
-            raise ParameterError(f"unknown generator family {args.family!r}")
+        s = build(generators, args, d)
         top = int(s.items.max(initial=0))
         if top >= 10**_MAX_DIGITS:  # checked here: write_file writes any int64 id
             raise ParameterError(f"item id {top} is past the {_MAX_DIGITS}-digit .dstream limit")
@@ -269,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a .dstream file")
-    gen.add_argument("family", choices=("blocks", "multiupdate", "marginals", "random"))
+    gen.add_argument("family", choices=tuple(_FAMILIES))
     gen.add_argument("--d", type=int64, default=None)
     gen.add_argument("--m", type=int64)
     gen.add_argument("--J", help="comma-separated block indices (blocks)")

@@ -70,6 +70,10 @@ class KnownKConfig:
 def check_T_beta(T: int, beta: float) -> None:
     if T < 1:
         raise ParameterError(f"T must be >= 1, got {T}")
+    check_beta(beta)
+
+
+def check_beta(beta: float) -> None:
     if not 0 < beta < 1:
         raise ParameterError(f"beta must be in (0, 1), got {beta}")
 
@@ -169,12 +173,20 @@ class KnownKMechanism:
         self.counters = counters
         self._src = src
         self.freeze = frozen_out is not None
-        self.count = 1
-        self._query = AboveThreshold(config.eps1, config.thresh, src)
-        nu = src.laplace(1.0 / config.eps1)
-        self.out = frozen_out if self.freeze else 0.0 + nu
+        self.out = frozen_out
+        self.count = 0
         self.aborted = False
         self.yes_events = 0
+        self._refresh(0)
+
+    def _refresh(self, q: int) -> None:
+        """The next estimate at live count q: a fresh ``_query`` (its threshold
+        noise first), then the draw nu, which a frozen instance does not add."""
+        self.count += 1
+        self._query = AboveThreshold(self.config.eps1, self.config.thresh, self._src)
+        nu = self._src.laplace(1.0 / self.config.eps1)
+        if not self.freeze:
+            self.out = q + nu
 
     def step(self, batch: UpdateBatch) -> float:
         if self.aborted:
@@ -191,21 +203,12 @@ class KnownKMechanism:
         return self.out
 
     def fired(self, q: int) -> None:
-        """The rule fired at live count q: refresh with a fresh ``_query``
-        and the draw nu after its threshold noise, or abort."""
-        cfg = self.config
+        """The rule fired at live count q: refresh while fewer than S_K
+        estimates are out; abort once S_K are (if S_K = 1, without a refresh)."""
         self.yes_events += 1
-        if self.count < cfg.S_K:
-            self.count += 1
-            self._query = AboveThreshold(cfg.eps1, cfg.thresh, self._src)
-            nu = self._src.laplace(1.0 / cfg.eps1)
-            if not self.freeze:
-                self.out = q + nu
-            if self.count >= cfg.S_K:
-                self.aborted = True
-        else:
-            # estimate budget exhausted (S_K = 1): abort without a refresh
-            self.aborted = True
+        if self.count < self.config.S_K:
+            self._refresh(q)
+        self.aborted = self.count >= self.config.S_K
 
 
 _FIRST_WINDOW = 64  # steps; each quiet window doubles the next one, up to _MAX_WINDOW

@@ -105,6 +105,11 @@ class Stream:
         return self
 
     def _check_header(self, d: int, T: int, model: str, length: int) -> None:
+        for name, v in (("dimension d", d), ("length bound T", T)):
+            try:
+                index(v)  # rejects floats, which would pick a float item type
+            except TypeError:
+                raise ParameterError(f"{name} must be an integer, got {v!r}") from None
         if d < 1:
             raise ParameterError(f"dimension d must be >= 1, got {d}")
         if T < 0:
@@ -130,22 +135,19 @@ class Stream:
         sizes = offsets[1:] - offsets[:-1]
         bad_delta = np.count_nonzero(np.abs(deltas) != 1)
         narrow = np.min_scalar_type(self.d)
-        key = items
-        if n >= _RADIX_MIN:  # range-check and narrow first: the wide ids are freed before the sort
-            lo, hi = items.min(), items.max()
-            if lo >= 1 and hi <= self.d:
-                self.items = items = key = items.astype(narrow, copy=False)
-            if lo >= 0 and hi < 2**16:
-                key = items.astype(np.uint16, copy=False)  # numpy radix-sorts 16-bit keys
-        order = key.argsort(kind="stable")  # by item, then by step
-        item_s = key[order]  # each sorted or per-update temporary is freed once read
+        # range-check and narrow first: the wide ids are freed before the sort,
+        # and numpy radix-sorts 8- and 16-bit ids
+        if n >= _RADIX_MIN and items.min() >= 1 and items.max() <= self.d:
+            self.items = items = items.astype(narrow, copy=False)
+        order = items.argsort(kind="stable")  # by item, then by step
+        item_s = items[order]  # each sorted or per-update temporary is freed once read
         new_item = np.empty(n, dtype=bool)  # first update of its item
         new_item[:1] = True
         np.not_equal(item_s[1:], item_s[:-1], out=new_item[1:])
         out_of_range = n and (item_s[0] < 1 or item_s[-1] > self.d)
         if not out_of_range:  # every id fits the narrow type; already narrowed if long
             self.items = items = items.astype(narrow, copy=False)
-        del key, item_s
+        del item_s
         step = np.arange(len(sizes), dtype=np.min_scalar_type(len(sizes))).repeat(sizes)
         step_s = step[order]
         dup = (step_s[1:] == step_s[:-1]) & ~new_item[1:]
@@ -226,9 +228,11 @@ class ValidationReport:
 
 
 def _integers(a) -> np.ndarray:
-    """``a`` as an array: as it is if it holds integers, else as int64."""
+    """``a`` as an array of integers: as it is, or as int64 if it is empty."""
     arr = np.asarray(a)
-    return arr if arr.dtype.kind in "iu" else np.asarray(a, dtype=np.int64)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise TypeError(f"a stream column holds {arr.dtype}, not integers")
+    return arr if arr.dtype.kind in "iu" else arr.astype(np.int64)
 
 
 def check_batch(batch: UpdateBatch, d: int) -> None:

@@ -62,6 +62,27 @@ class TestGenerate:
         rc = main(["generate", "blocks", "--m", "2", "-o", str(tmp_path / "x")])
         assert rc == 1
 
+    def test_family_choices_keep_their_order(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["generate", "--help"])
+        assert "{blocks,multiupdate,marginals,random}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "family, flags, message",
+        [
+            ("blocks", ["--m", "2"], "blocks requires --m, --J, --Tprime"),
+            ("multiupdate", ["--m", "3", "--I", "2"], "multiupdate requires --m, --I, --Tprime"),
+            ("marginals", ["--variant", "multi"], "marginals requires --file"),
+            ("random", ["--d", "5"], "random requires --d, --T"),
+        ],
+    )
+    def test_missing_flags_are_named(self, tmp_path, capsys, family, flags, message):
+        out = tmp_path / "x.dstream"
+        rc = main(["generate", family, *flags, "-o", str(out)])
+        captured = capsys.readouterr()
+        assert (rc, captured.err, captured.out) == (1, f"parameter error: {message}\n", "")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["run", "bench", "generate"])
 def test_negative_seed_is_parameter_error(tmp_path, capsys, command):
@@ -461,6 +482,26 @@ class TestNoTraceback:
         rc = main(argv)
         captured = capsys.readouterr()
         assert (rc, captured.err, captured.out) == (1, f"parameter error: {message}\n", "")
+
+    @pytest.mark.parametrize("mechanism", ["zero", "laplace-T", "gaussian-T", "continual-likes"])
+    @pytest.mark.parametrize("beta, shown", [("5", "5.0"), ("0", "0.0"), ("nan", "nan")])
+    def test_beta_a_mechanism_ignores_is_checked(self, tmp_path, capsys, mechanism, beta, shown):
+        argv = ["run", "--input", write_stream(tmp_path), "--mechanism", mechanism]
+        rc = main([*argv, "--beta", beta])
+        captured = capsys.readouterr()
+        message = f"parameter error: beta must be in (0, 1), got {shown}\n"
+        assert (rc, captured.err, captured.out) == (1, message, "")
+
+    @pytest.mark.parametrize("command", ["trials", "probe", "bench"])
+    def test_beta_a_mechanism_ignores_is_checked_by_every_command(self, tmp_path, capsys, command):
+        argv = [command, "--input", write_stream(tmp_path), "--mechanism", "laplace-T"]
+        if command == "probe":
+            neighbor = write_stream(tmp_path, "y.dstream", "dstream 1 4 4 likes\n\n\n\n\n")
+            argv += ["--neighbor", neighbor, "--samples", "2"]
+        rc = main([*argv, "--beta", "5"])
+        captured = capsys.readouterr()
+        message = "parameter error: beta must be in (0, 1), got 5.0\n"
+        assert (rc, captured.err, captured.out) == (1, message, "")
 
     def test_unknown_k_all_on_an_empty_stream_needs_T(self, tmp_path, capsys):
         path = write_stream(tmp_path, text="dstream 1 4 0 likes\n")

@@ -7,6 +7,7 @@ from dpdistinct import (
     CounterState,
     FlippancySummary,
     ModelViolationError,
+    ParameterError,
     Stream,
     StreamFormatError,
     apply_batch,
@@ -288,6 +289,28 @@ class TestConstruction:
         assert s.counts.dtype == np.int64 and s.counts.tolist() == [1, 2, 2]
         with pytest.raises(ValueError):
             s.counts[0] = 5
+
+    def test_non_integer_d_is_rejected(self):
+        # a float d would pick a float16 item type, which rounds ids past 2048
+        with pytest.raises(ParameterError, match=r"^dimension d must be an integer, got 5000\.5$"):
+            Stream(5000.5, 3, "general", [[(2048, 1)], [(2049, 1)], [(3001, 1)]])
+
+    @pytest.mark.parametrize("T", [2.7, 3.0, "3"])
+    def test_non_integer_T_is_rejected(self, T):
+        with pytest.raises(ParameterError, match="^length bound T must be an integer, got "):
+            Stream(4, T, "likes", [[(1, 1)]])
+
+    @pytest.mark.parametrize("column", ["offsets", "items", "deltas"])
+    @pytest.mark.parametrize("kind", [float, str, bool])
+    def test_from_columns_rejects_a_non_integer_column(self, column, kind):
+        columns = {"offsets": [0, 1, 2], "items": [1, 2], "deltas": [1, 1]}
+        columns[column] = [kind(v) for v in columns[column]]
+        with pytest.raises(TypeError, match="^a stream column holds .*, not integers$"):
+            Stream.from_columns(3, 2, "likes", *columns.values())
+
+    def test_an_empty_column_of_any_dtype_is_accepted(self):
+        s = Stream.from_columns(3, 2, "likes", [0, 0, 0], [], np.array([], dtype=np.float32))
+        assert s.items.size == 0 and s.counts.tolist() == [0, 0]
 
 
 def test_flippancy_rejects_invalid_likes_stream():
