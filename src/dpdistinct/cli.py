@@ -2,8 +2,9 @@
 
 Subcommands: generate | run | trials | bounds | probe | bench.  Exit codes:
 0 success, 1 parameter error, 2 input/validation error or a closed standard
-output.  All floating-point values are printed with 12 significant digits
-so identical configurations produce byte-identical output.
+output.  Every report field is written as key=value by ``_fields``, each
+float with 12 significant digits (``FLOAT``), so identical configurations
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -24,18 +25,15 @@ from .noise import RandomSource
 from .stream import _MAX_DIGITS, Stream, _int_bytes, distinct_counts, total_flippancy
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".12g")
-
-
+FLOAT = "%.12g"  # the one format of every float the CLI writes
 CSV_BLOCK = 8192  # rows per block: the CSV writer's memory does not grow with T
 
 
 def _float_bytes(x: np.ndarray) -> np.ndarray:
-    """"%.12g" of float64s: left-aligned ASCII rows, NUL-padded.  Each bit
+    """``FLOAT`` of float64s: left-aligned ASCII rows, NUL-padded.  Each bit
     pattern is formatted once, so -0.0 and 0.0 stay apart."""
     bits, rows = np.unique(x.view(np.int64), return_inverse=True)
-    text = np.array(["%.12g" % v for v in bits.view(np.float64).tolist()], dtype="S")
+    text = np.array([FLOAT % v for v in bits.view(np.float64).tolist()], dtype="S")
     return text.view(np.uint8).reshape(len(bits), text.itemsize)[rows]
 
 
@@ -52,7 +50,7 @@ def _byte_writer(fh):
 
 
 def _write_rows(fh, outputs: np.ndarray, truth: np.ndarray, errors: np.ndarray) -> None:
-    """Write "%d,%.12g,%d,%.12g\\n" % (t, output, truth, error) for t = 1, 2, ...
+    """Write the rows "t,output,truth,error\\n", floats in ``FLOAT``, for t = 1, 2, ...
     as bytes (``_byte_writer``), "\\n" ending each row on every platform.
     Each block's fields and separators lie side by side in one uint8 matrix,
     whose non-NUL bytes, read row by row, are the block's text."""
@@ -67,6 +65,17 @@ def _write_rows(fh, outputs: np.ndarray, truth: np.ndarray, errors: np.ndarray) 
             _float_bytes(errors[lo:hi]), np.full_like(comma, ord("\n")),
         ])
         write(block[block != 0].tobytes())
+
+
+def _fields(**fields) -> list[str]:
+    """"key=value" for each field that is not None, a float in ``FLOAT``."""
+    return [f"{k}={FLOAT % v if isinstance(v, float) else v}" for k, v in fields.items()
+            if v is not None]
+
+
+def _report(**fields) -> None:
+    """Print ``_fields``, one a line."""
+    print(*_fields(**fields), sep="\n")
 
 
 # each mechanism's run, from (flags, privacy params, T, source, stream); the
@@ -161,7 +170,7 @@ def cmd_generate(args) -> int:
     except MemoryError:  # a size inside the int64 limits that this machine cannot hold
         raise ParameterError("the requested stream does not fit in memory") from None
     summary = total_flippancy(s)
-    print(f"wrote {args.output} d={s.d} T={s.T} model={s.model} K={summary.total_K}")
+    print("wrote", args.output, *_fields(d=s.d, T=s.T, model=s.model, K=summary.total_K))
     return 0
 
 
@@ -175,11 +184,9 @@ def cmd_run(args) -> int:
         write = _byte_writer(fh)
         write(b"t,output,truth,abs_error\n")
         _write_rows(fh, outputs, s.counts[: len(outputs)], errors)
-        write(
-            f"# max_error={_fmt(errors.max(initial=0.0))}"
-            f" aborts={1 if result.abort_step is not None else 0}"
-            f" instances={result.instances}\n".encode("ascii")
-        )
+        footer = _fields(max_error=errors.max(initial=0.0),
+                         aborts=int(result.abort_step is not None), instances=result.instances)
+        write(("# " + " ".join(footer) + "\n").encode("ascii"))
     return 0
 
 
@@ -189,12 +196,9 @@ def cmd_trials(args) -> int:
     summary = harness.run_trials(
         run_fn, s, args.trials, args.seed, mode=args.noise, bound=args.bound
     )
-    print(f"n_trials={summary.n_trials}")
-    for q, v in sorted(summary.quantiles.items()):
-        print(f"max_error_q{int(q * 100)}={_fmt(v)}")
-    if summary.pass_fraction is not None:
-        print(f"bound={_fmt(summary.bound)}")
-        print(f"pass_fraction={_fmt(summary.pass_fraction)}")
+    quantiles = {f"max_error_q{int(q * 100)}": v for q, v in sorted(summary.quantiles.items())}
+    _report(n_trials=summary.n_trials, **quantiles, bound=summary.bound,
+            pass_fraction=summary.pass_fraction)
     return 0
 
 
@@ -203,9 +207,7 @@ def cmd_bounds(args) -> int:
     spec = harness.theoretical_bound(
         pp, args.beta, args.T, args.K, args.d, regime=args.regime
     )
-    for name, value in spec.branches.items():
-        print(f"branch_{name}={_fmt(value)}")
-    print(f"min={_fmt(spec.minimum)}")
+    _report(**{f"branch_{name}": v for name, v in spec.branches.items()}, min=spec.minimum)
     return 0
 
 
@@ -220,21 +222,10 @@ def cmd_probe(args) -> int:
     if min(x.length, y.length) == 0:
         raise StreamFormatError("probe needs at least one step in the input and the neighbor")
     run_fn = _make_run_fn(args, T)
-    result = harness.privacy_probe(
-        run_fn,
-        x,
-        y,
-        bin_width=args.bin_width,
-        n_samples=args.samples,
-        base_seed=args.seed,
-        delta=args.delta,
-    )
-    print(f"status={result.status}")
-    if result.eps_hat is not None:
-        print(f"eps_hat={_fmt(result.eps_hat)}")
-    print(f"n_bins={result.n_bins}")
-    print(f"eligible_bins={result.eligible_bins}")
-    print(f"projection_step={result.projection_step}")
+    result = harness.privacy_probe(run_fn, x, y, bin_width=args.bin_width, n_samples=args.samples,
+                                   base_seed=args.seed, delta=args.delta)
+    _report(status=result.status, eps_hat=result.eps_hat, n_bins=result.n_bins,
+            eligible_bins=result.eligible_bins, projection_step=result.projection_step)
     return 0
 
 
@@ -242,14 +233,7 @@ def cmd_bench(args) -> int:
     s, T = _load_stream(args.input, args)
     run_fn = _make_run_fn(args, T)
     report = harness.throughput_bench(run_fn, s, seed=args.seed, mode=args.noise)
-    print(f"updates={report.updates}")
-    print(f"steps={report.steps}")
-    print(f"seconds={_fmt(report.seconds)}")
-    print(f"updates_per_second={_fmt(report.updates_per_second)}")
-    print(f"laplace_draws={report.laplace_draws}")
-    print(f"laplace_calls={report.laplace_calls}")
-    print(f"gaussian_draws={report.gaussian_draws}")
-    print(f"gaussian_calls={report.gaussian_calls}")
+    _report(**vars(report))
     return 0
 
 

@@ -128,13 +128,13 @@ def read_marginals_file(path) -> MarginalsTable:
         values = [int(v) for v in tokens[2:]]
     except ValueError:
         raise StreamFormatError("non-integer value in marginals file")
+    if min(n, m) < 1:
+        raise StreamFormatError(f"table must have n, m >= 1, got n={n}, m={m}")
     if len(values) != n * m:
-        raise StreamFormatError(
-            f"expected {n * m} table entries, found {len(values)}"
-        )
-    rows = tuple(
-        tuple(values[i * m : (i + 1) * m]) for i in range(n)
-    )
+        raise StreamFormatError(f"expected {n * m} table entries, found {len(values)}")
+    if not set(values) <= {0, 1}:
+        raise StreamFormatError("table entries must be 0/1")
+    rows = tuple(tuple(values[i * m : (i + 1) * m]) for i in range(n))
     return MarginalsTable(n=n, m=m, y=rows)
 
 

@@ -90,9 +90,9 @@ class Stream:
 
     @classmethod
     def from_columns(cls, d: int, T: int, model: str, offsets, items, deltas) -> Stream:
-        """Build a stream from its arrays, of any integer type; the stream
-        keeps each one, or its narrowed copy, read-only."""
-        return cls._adopt(d, T, model, [offsets, items, deltas])
+        """Build a stream from integer arrays of any type that describe one
+        (``_stream_columns``); it keeps each, or its narrowed copy, read-only."""
+        return cls._adopt(d, T, model, _stream_columns(offsets, items, deltas))
 
     @classmethod
     def _adopt(cls, d: int, T: int, model: str, columns: list) -> Stream:
@@ -233,6 +233,21 @@ def _integers(a) -> np.ndarray:
     if arr.size and arr.dtype.kind not in "iu":
         raise TypeError(f"a stream column holds {arr.dtype}, not integers")
     return arr if arr.dtype.kind in "iu" else arr.astype(np.int64)
+
+
+def _stream_columns(offsets, items, deltas) -> list[np.ndarray]:
+    """The columns as integer arrays (``_integers``); ``StreamFormatError``
+    names the rule they break if they describe no stream."""
+    columns = list(map(_integers, (offsets, items, deltas)))
+    o, n = columns[0], columns[1].size
+    fault = ("a column is not 1-D" if any(c.ndim != 1 for c in columns)
+             else "offsets are empty" if not len(o) else "offsets[0] is not 0" if o[0]
+             else "offsets decrease" if (o[1:] < o[:-1]).any()
+             else f"offsets[-1] is not len(items) = {n}" if o[-1] != n
+             else "deltas and items differ in length" if columns[2].size != n else None)
+    if fault:
+        raise StreamFormatError(f"stream columns: {fault}")
+    return columns
 
 
 def check_batch(batch: UpdateBatch, d: int) -> None:

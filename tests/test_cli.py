@@ -58,6 +58,28 @@ class TestGenerate:
         s = streammod.read_file(out)
         assert s.d == 2 and s.T == 12
 
+    def test_summary_line_bytes(self, tmp_path, capsys):
+        out = str(tmp_path / "b.dstream")
+        rc = main(["generate", "blocks", "--m", "2", "--J", "1,3", "--Tprime", "8", "-o", out])
+        assert (rc, capsys.readouterr().out) == (0, f"wrote {out} d=2 T=8 model=likes K=4\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 2\n0 1\n2 0\n", "table entries must be 0/1"),
+            ("0 0\n", "table must have n, m >= 1, got n=0, m=0"),
+            ("1 -1\n", "table must have n, m >= 1, got n=1, m=-1"),
+        ],
+    )
+    def test_malformed_marginals_file_is_input_error(self, tmp_path, capsys, text, message):
+        table = tmp_path / "t.txt"
+        table.write_text(text)
+        out = tmp_path / "g.dstream"
+        rc = main(["generate", "marginals", "--file", str(table), "-o", str(out)])
+        captured = capsys.readouterr()
+        assert (rc, captured.err, captured.out) == (2, f"input error: {message}\n", "")
+        assert not out.exists()
+
     def test_missing_flags_is_parameter_error(self, tmp_path):
         rc = main(["generate", "blocks", "--m", "2", "-o", str(tmp_path / "x")])
         assert rc == 1
@@ -276,6 +298,21 @@ class TestTrials:
         assert "max_error_q50=" in out
         assert "pass_fraction=" in out
 
+    @pytest.mark.parametrize(
+        "flags, tail",
+        [([], ""), (["--bound", "12.5"], "bound=12.5\npass_fraction=0.7\n")],
+        ids=["no-bound", "bound"],
+    )
+    def test_report_bytes(self, tmp_path, capsys, flags, tail):
+        path = write_stream(tmp_path)
+        rc = main(["trials", "--input", path, "--mechanism", "laplace-T", "--trials", "10",
+                   "--seed", "7", *flags])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "n_trials=10\nmax_error_q50=8.23877603606\nmax_error_q90=15.1754552576\n"
+            "max_error_q99=15.1754552576\n" + tail
+        )
+
     @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
     def test_bound_that_is_not_finite_is_parameter_error(self, tmp_path, capsys, bound):
         path = write_stream(tmp_path)
@@ -303,6 +340,22 @@ class TestBounds:
         assert float(out["branch_flippancy"]) == pytest.approx(math.sqrt(288))
         assert float(out["branch_err_T"]) == pytest.approx(64.0)
         assert float(out["min"]) == pytest.approx(math.sqrt(288))
+
+    @pytest.mark.parametrize(
+        "flags, report",
+        [
+            (["--K", "72"], "branch_d=100\nbranch_K=72\nbranch_flippancy=16.9709263224\n"
+             "branch_err_T=64.0027422753\nmin=16.9709263224\n"),
+            (["--K", "0"], "branch_zero=0\nmin=0\n"),
+            (["--K", "72", "--regime", "unknown"],
+             "branch_d=100\nbranch_K=72\nbranch_flippancy=72.5789856111\n"
+             "branch_err_T=64.0027422753\nmin=100.355863241\n"),
+        ],
+        ids=["known", "K-zero", "unknown"],
+    )
+    def test_report_bytes(self, capsys, flags, report):
+        rc = main(["bounds", "--eps", "1", "--T", "16", "--beta", "0.586", "--d", "100", *flags])
+        assert (rc, capsys.readouterr().out) == (0, report)
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -340,6 +393,24 @@ class TestProbe:
             next(l for l in out.splitlines() if l.startswith("eps_hat=")).split("=")[1]
         )
         assert eps_hat <= 0.1
+
+    @pytest.mark.parametrize(
+        "flags, report",
+        [
+            (["--eps", "20", "--samples", "5000"],
+             "status=ok\neps_hat=0.00444175977594\nn_bins=2\neligible_bins=2\n"),
+            # every sample of a continuous release lands in its own bin, each
+            # bin's smaller smoothed mass is below FLOOR, and no eps_hat is printed
+            (["--samples", "4000", "--bin-width", "1e-9"],
+             "status=inconclusive\nn_bins=8000\neligible_bins=0\n"),
+        ],
+        ids=["ok", "inconclusive"],
+    )
+    def test_report_bytes(self, tmp_path, capsys, flags, report):
+        path = write_stream(tmp_path, text="dstream 1 2 1 likes\n1:+1\n")
+        rc = main(["probe", "--input", path, "--neighbor", path, "--mechanism", "laplace-T",
+                   "--seed", "0", *flags])
+        assert (rc, capsys.readouterr().out) == (0, report + "projection_step=0\n")
 
     def test_probe_does_not_offer_noise(self, tmp_path, capsys):
         # probe always draws live noise, so --noise zero would be ignored
@@ -407,6 +478,21 @@ class TestProbe:
 
 
 class TestBench:
+    def test_report_keys_and_values(self, tmp_path, capsys):
+        path = write_stream(tmp_path)
+        rc = main(["bench", "--input", path, "--mechanism", "known-k", "--K", "8"])
+        assert rc == 0
+        fields = [line.split("=") for line in capsys.readouterr().out.splitlines()]
+        assert [k for k, _ in fields] == [
+            "updates", "steps", "seconds", "updates_per_second",
+            "laplace_draws", "laplace_calls", "gaussian_draws", "gaussian_calls",
+        ]
+        values = dict(fields)
+        seconds, rate = float(values.pop("seconds")), float(values.pop("updates_per_second"))
+        assert values == {"updates": "3", "steps": "4", "laplace_draws": "6", "laplace_calls": "6",
+                          "gaussian_draws": "0", "gaussian_calls": "0"}
+        assert seconds > 0 and rate == pytest.approx(3 / seconds, rel=1e-9)
+
     def test_zero_noise_reports_no_draws(self, tmp_path, capsys):
         path = write_stream(tmp_path)
         rc = main(

@@ -312,6 +312,28 @@ class TestConstruction:
         s = Stream.from_columns(3, 2, "likes", [0, 0, 0], [], np.array([], dtype=np.float32))
         assert s.items.size == 0 and s.counts.tolist() == [0, 0]
 
+    @pytest.mark.parametrize(
+        "offsets, items, deltas, fault",
+        [
+            ([0, 1], [[1]], [1], "a column is not 1-D"),
+            ([[0, 1]], [1], [1], "a column is not 1-D"),
+            (0, [], [], "a column is not 1-D"),
+            ([], [], [], "offsets are empty"),
+            ([1, 2], [1, 2], [1, 1], r"offsets\[0\] is not 0"),
+            ([-1, 2], [1, 2, 3], [1, 1, 1], r"offsets\[0\] is not 0"),
+            ([0, 2, 1], [1, 2], [1, 1], "offsets decrease"),
+            (np.array([0, 2, 1], np.uint8), [1, 2], [1, 1], "offsets decrease"),
+            ([0, 1], [1, 2], [1, 1], r"offsets\[-1\] is not len\(items\) = 2"),
+            ([0, 2], [1, 2], [1], "deltas and items differ in length"),
+            ([0, 1], [1], [1, -1], "deltas and items differ in length"),
+        ],
+    )
+    def test_from_columns_rejects_columns_that_describe_no_stream(
+        self, offsets, items, deltas, fault
+    ):
+        with pytest.raises(StreamFormatError, match=f"^stream columns: {fault}$"):
+            Stream.from_columns(3, 3, "likes", offsets, items, deltas)
+
 
 def test_flippancy_rejects_invalid_likes_stream():
     s = Stream(d=1, T=2, model="likes", batches=[[(1, 1)], [(1, 1)]])
