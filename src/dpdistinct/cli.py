@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: generate | run | trials | bounds | probe | bench.  Exit codes:
-0 success, 1 parameter error, 2 input/validation error or a closed standard
-output.  Every report field is written as key=value by ``_fields``, each
+0 success, 1 parameter error, 2 input/validation error, a closed standard
+output or an output file that cannot be written.  Every report field is written as key=value by ``_fields``, each
 float with 12 significant digits (``FLOAT``), so identical configurations
 produce byte-identical output.
 """
@@ -14,7 +14,7 @@ import gc
 import io
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -76,6 +76,22 @@ def _fields(**fields) -> list[str]:
 def _report(**fields) -> None:
     """Print ``_fields``, one a line."""
     print(*_fields(**fields), sep="\n")
+
+
+class _OutputError(Exception):
+    """An OSError on the output that ``run`` or ``generate`` writes (``_writing``)."""
+
+
+@contextmanager
+def _writing():
+    """Re-raise an OSError inside as ``_OutputError``, which ``main`` reports as
+    an output error (any other OSError is an input error); a closed pipe stays."""
+    try:
+        yield
+    except BrokenPipeError:  # main also redirects standard output
+        raise
+    except OSError as exc:
+        raise _OutputError(exc) from None
 
 
 # each mechanism's run, from (flags, privacy params, T, source, stream); the
@@ -166,7 +182,8 @@ def cmd_generate(args) -> int:
         top = int(s.items.max(initial=0))
         if top >= 10**_MAX_DIGITS:  # checked here: write_file writes any int64 id
             raise ParameterError(f"item id {top} is past the {_MAX_DIGITS}-digit .dstream limit")
-        streammod.write_file(s, args.output)
+        with _writing():
+            streammod.write_file(s, args.output)
     except MemoryError:  # a size inside the int64 limits that this machine cannot hold
         raise ParameterError("the requested stream does not fit in memory") from None
     summary = total_flippancy(s)
@@ -180,7 +197,7 @@ def cmd_run(args) -> int:
     src = RandomSource(args.seed, args.noise)
     result = run_fn(src, s)
     outputs, errors = harness.release_errors(result, s)
-    with open(args.output, "wb") if args.output else nullcontext(sys.stdout) as fh:
+    with _writing(), open(args.output, "wb") if args.output else nullcontext(sys.stdout) as fh:
         write = _byte_writer(fh)
         write(b"t,output,truth,abs_error\n")
         _write_rows(fh, outputs, s.counts[: len(outputs)], errors)
@@ -233,7 +250,7 @@ def cmd_bench(args) -> int:
     s, T = _load_stream(args.input, args)
     run_fn = _make_run_fn(args, T)
     report = harness.throughput_bench(run_fn, s, seed=args.seed, mode=args.noise)
-    _report(**vars(report))
+    _report(**report._asdict())
     return 0
 
 
@@ -311,10 +328,11 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError as exc:
-        devnull = os.open(os.devnull, os.O_WRONLY)  # the exit's flush of fd 1 then succeeds
-        os.dup2(devnull, 1)
-        os.close(devnull)
+    except (BrokenPipeError, _OutputError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            devnull = os.open(os.devnull, os.O_WRONLY)  # the exit's flush of fd 1 then succeeds
+            os.dup2(devnull, 1)
+            os.close(devnull)
         print(f"output error: {exc}", file=sys.stderr)
         return 2
     # OSError: a path that is missing, a directory or unreadable

@@ -12,7 +12,7 @@ its (step, item, delta) columns with numpy, and ``_assemble`` hands them to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,19 +21,19 @@ from .errors import ParameterError, StreamFormatError
 from .stream import Stream
 
 
-@dataclass(frozen=True)
-class MarginalsTable:
-    n: int
-    m: int
-    y: tuple[tuple[int, ...], ...]
+class MarginalsTable(NamedTuple("MarginalsTable", [("n", int), ("m", int), ("y", tuple)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
+    def __new__(cls, n: int, m: int, y: tuple[tuple[int, ...], ...]):
+        if n < 1 or m < 1:
             raise ParameterError("table must have n, m >= 1")
-        if len(self.y) != self.n or any(len(row) != self.m for row in self.y):
+        if len(y) != n or any(len(row) != m for row in y):
             raise ParameterError("table shape does not match n x m")
-        if any(v not in (0, 1) for row in self.y for v in row):
+        if any(v not in (0, 1) for row in y for v in row):
             raise ParameterError("table entries must be 0/1")
+        return super().__new__(cls, n, m, y)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it
 
 
 def blocks_stream(d: int, m: int, J: tuple[int, ...], T_prime: int) -> Stream:

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,8 +44,7 @@ def evaluate(result: RunResult, stream: Stream) -> float:
     return float(errors.max(initial=0.0))
 
 
-@dataclass
-class TrialsSummary:
+class TrialsSummary(NamedTuple):
     n_trials: int
     max_errors: list[float]
     quantiles: dict[float, float]
@@ -82,17 +80,10 @@ def run_trials(
     pass_fraction = None
     if bound is not None:
         pass_fraction = sum(1 for e in max_errors if e <= bound) / n_trials
-    return TrialsSummary(
-        n_trials=n_trials,
-        max_errors=max_errors,
-        quantiles=quantiles,
-        pass_fraction=pass_fraction,
-        bound=bound,
-    )
+    return TrialsSummary(n_trials, max_errors, quantiles, pass_fraction, bound)
 
 
-@dataclass
-class BoundSpec:
+class BoundSpec(NamedTuple):
     branches: dict[str, float]
     minimum: float
 
@@ -132,8 +123,7 @@ def theoretical_bound(
     return BoundSpec(branches=branches, minimum=min(branches.values()) + additive)
 
 
-@dataclass
-class ProbeResult:
+class ProbeResult(NamedTuple):
     eps_hat: float | None
     status: str  # "ok" | "inconclusive"
     n_bins: int
@@ -223,8 +213,7 @@ def privacy_probe(
     )
 
 
-@dataclass
-class BenchReport:
+class BenchReport(NamedTuple):
     updates: int
     steps: int
     seconds: float

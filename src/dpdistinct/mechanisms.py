@@ -27,8 +27,7 @@ fires, aborts and draws exactly as stepping ``step_count`` would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,24 +38,24 @@ from .stream import Stream, UpdateBatch, apply_batch, require_valid
 from .svt import AboveThreshold
 
 
-@dataclass(frozen=True)
-class PrivacyParams:
-    eps: float
-    delta: float = 0.0
+class PrivacyParams(NamedTuple("PrivacyParams", [("eps", float), ("delta", float)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ParameterError(f"epsilon must be positive and finite, got {self.eps}")
-        if not 0 <= self.delta < 1:
-            raise ParameterError(f"delta must be in [0, 1), got {self.delta}")
-        if self.delta > 0 and self.eps >= 1:
+    def __new__(cls, eps: float, delta: float = 0.0):
+        if not (math.isfinite(eps) and eps > 0):
+            raise ParameterError(f"epsilon must be positive and finite, got {eps}")
+        if not 0 <= delta < 1:
+            raise ParameterError(f"delta must be in [0, 1), got {delta}")
+        if delta > 0 and eps >= 1:
             raise ParameterError(
                 "the approximate-DP guarantee requires epsilon < 1 when delta > 0"
             )
+        return super().__new__(cls, eps, delta)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it
 
 
-@dataclass(frozen=True)
-class KnownKConfig:
+class KnownKConfig(NamedTuple):
     eps: float
     delta: float
     K: int
@@ -240,8 +239,7 @@ def _scan(mech: KnownKMechanism, q: np.ndarray, t: int, outputs: list[float]) ->
     return t
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     outputs: list[float]
     yes_events: int = 0
     instances: int = 1
@@ -275,8 +273,7 @@ def run_known_k(
     )
 
 
-@dataclass(frozen=True)
-class _Schedule:
+class _Schedule(NamedTuple):
     """A doubling run's budget: instance j gets K_j = 2^j and c/(pi^2 j^2) of
     each of eps, delta and beta, c the field of the same name, which sums to
     c/6 of it over j.  ``scaled`` rounds as x * (c/(pi^2 j^2)), else c*x/(pi^2 j^2)."""
@@ -473,4 +470,4 @@ def run_event_to_item(
         stream.deltas,
     )
     inner = inner_run(padded)
-    return replace(inner, outputs=inner.outputs[1:])
+    return inner._replace(outputs=inner.outputs[1:])

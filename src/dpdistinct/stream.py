@@ -38,10 +38,10 @@ item's digits laid out by ``_int_bytes``, the integer-to-ASCII routine the
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 from operator import index
+from typing import NamedTuple
 
 import numpy as np
 
@@ -214,14 +214,12 @@ class CounterState:
         self.q = 0
 
 
-@dataclass
-class FlippancySummary:
+class FlippancySummary(NamedTuple):
     total_K: int
     max_w: int
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violation: tuple[int, int] | None  # (item, time) of first likes violation
     singleton: bool
@@ -319,11 +317,7 @@ def validate(stream: Stream) -> ValidationReport:
     is reported.  General-model streams are always ok.  The singleton flag
     records whether every batch carries at most one update.
     """
-    return ValidationReport(
-        ok=stream.violation is None,
-        violation=stream.violation,
-        singleton=stream.singleton,
-    )
+    return ValidationReport(stream.violation is None, stream.violation, stream.singleton)
 
 
 def require_valid(stream: Stream) -> None:
@@ -517,10 +511,11 @@ def _parse(header_line: str, data: bytes, start: int):
     model = header[4]
     if model not in _MODELS:
         raise StreamFormatError(f"unknown model {model!r} in header")
-    n_lines = data.count(b"\n", start)
+    columns = _parse_columns(data, start)  # its offsets count the lines it parsed
+    n_lines = data.count(b"\n", start) if columns is None else len(columns[0]) - 1
     if n_lines > T:
         raise StreamFormatError(f"{n_lines} data lines exceed declared T={T}")
-    return d, T, model, _parse_columns(data, start)
+    return d, T, model, columns
 
 
 def _build(d: int, T: int, model: str, columns: list) -> Stream:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, formats, determinism, exit codes."""
 
+import errno
 import gc
 import math
 import os
@@ -636,6 +637,27 @@ class TestNoTraceback:
             f"parameter error: {flag} must be comma-separated integers, got '1,x'\n"
         )
 
+    @pytest.mark.parametrize("command, cause", [
+        ("run", errno.EISDIR),  # -o names a directory
+        ("generate", errno.ENOENT),  # -o is in a directory that does not exist
+        pytest.param("run", errno.ENOSPC,  # -o opens, and the write fails
+                     marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                              reason="writes to /dev/full")),
+    ])
+    def test_unwritable_output_is_output_error(self, tmp_path, capsys, command, cause):
+        out = {errno.EISDIR: str(tmp_path), errno.ENOENT: str(tmp_path / "no" / "g.dstream"),
+               errno.ENOSPC: "/dev/full"}[cause]
+        argv = {
+            "run": ["run", "--input", write_stream(tmp_path), "--mechanism", "zero"],
+            "generate": ["generate", "random", "--d", "5", "--T", "5"],
+        }[command]
+        rc = main([*argv, "-o", out])
+        captured = capsys.readouterr()
+        assert rc == 2
+        named = "" if cause == errno.ENOSPC else f": {out!r}"  # a failed write names no file
+        assert captured.err == f"output error: [Errno {cause}] {os.strerror(cause)}{named}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("bad", ["directory", "latin-1"])
     @pytest.mark.parametrize("where", ["input", "neighbor", "marginals"])
     def test_unreadable_file_is_input_error(self, tmp_path, capsys, where, bad):
@@ -834,6 +856,11 @@ def run_child(*argv, stdout=subprocess.PIPE, text=True, **env):
 class TestChildProcess:
     def test_importing_cli_leaves_generators_unimported(self):
         code = "import sys, dpdistinct.cli; print('dpdistinct.generators' in sys.modules)"
+        child = run_child("-c", code)
+        assert (child.returncode, child.stdout, child.stderr) == (0, "False\n", "")
+
+    def test_importing_cli_leaves_dataclasses_unimported(self):
+        code = "import sys, dpdistinct.cli; print('dataclasses' in sys.modules)"
         child = run_child("-c", code)
         assert (child.returncode, child.stdout, child.stderr) == (0, "False\n", "")
 
