@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Subcommands: generate | run | trials | bounds | probe | bench.  Exit codes:
-0 success, 1 parameter error, 2 input/validation error, a closed standard
-output or an output file that cannot be written.  Every report field is written as key=value by ``_fields``, each
-float with 12 significant digits (``FLOAT``), so identical configurations
-produce byte-identical output.
+0 success, 1 parameter error, 2 input error (an unreadable or invalid input)
+or output error (any failed write to standard output or -o).  Every report
+field is written as key=value by ``_fields``, each float with 12 significant
+digits (``FLOAT``), so identical configurations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import gc
 import io
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -78,20 +78,12 @@ def _report(**fields) -> None:
     print(*_fields(**fields), sep="\n")
 
 
-class _OutputError(Exception):
-    """An OSError on the output that ``run`` or ``generate`` writes (``_writing``)."""
-
-
-@contextmanager
-def _writing():
-    """Re-raise an OSError inside as ``_OutputError``, which ``main`` reports as
-    an output error (any other OSError is an input error); a closed pipe stays."""
+def _reading(read, path: str):
+    """``read(path)``, its OSError an input error; main reports any other as output."""
     try:
-        yield
-    except BrokenPipeError:  # main also redirects standard output
-        raise
-    except OSError as exc:
-        raise _OutputError(exc) from None
+        return read(path)
+    except OSError as exc:  # a path that is missing, a directory or unreadable
+        raise StreamFormatError(str(exc)) from None
 
 
 # each mechanism's run, from (flags, privacy params, T, source, stream); the
@@ -140,7 +132,7 @@ def _make_run_fn(args, T: int):
 
 def _load_stream(path: str, args) -> tuple[Stream, int]:
     """Read and validate a stream; T is the header's unless --T overrides it."""
-    s = streammod.read_file(path)
+    s = _reading(streammod.read_file, path)
     streammod.require_valid(s)
     if args.T is None:
         return s, s.T
@@ -164,7 +156,7 @@ _FAMILIES = {
         d, a.m, _int_list(a.I, "--I"), a.Tprime)),
     "marginals": (("file",), lambda g, a, d: (
         g.marginals_to_stream_singleton if a.variant == "singleton" else g.marginals_to_stream_multi
-    )(g.read_marginals_file(a.file))),
+    )(_reading(g.read_marginals_file, a.file))),
     "random": (("d", "T"), lambda g, a, d: g.random_stream(
         d, a.T, a.model, singleton=a.singleton, target_K=a.K, seed=a.seed)),
 }
@@ -182,8 +174,7 @@ def cmd_generate(args) -> int:
         top = int(s.items.max(initial=0))
         if top >= 10**_MAX_DIGITS:  # checked here: write_file writes any int64 id
             raise ParameterError(f"item id {top} is past the {_MAX_DIGITS}-digit .dstream limit")
-        with _writing():
-            streammod.write_file(s, args.output)
+        streammod.write_file(s, args.output)
     except MemoryError:  # a size inside the int64 limits that this machine cannot hold
         raise ParameterError("the requested stream does not fit in memory") from None
     summary = total_flippancy(s)
@@ -197,7 +188,7 @@ def cmd_run(args) -> int:
     src = RandomSource(args.seed, args.noise)
     result = run_fn(src, s)
     outputs, errors = harness.release_errors(result, s)
-    with _writing(), open(args.output, "wb") if args.output else nullcontext(sys.stdout) as fh:
+    with open(args.output, "wb") if args.output else nullcontext(sys.stdout) as fh:
         write = _byte_writer(fh)
         write(b"t,output,truth,abs_error\n")
         _write_rows(fh, outputs, s.counts[: len(outputs)], errors)
@@ -328,16 +319,17 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 1
-    except (BrokenPipeError, _OutputError) as exc:
-        if isinstance(exc, BrokenPipeError):
-            devnull = os.open(os.devnull, os.O_WRONLY)  # the exit's flush of fd 1 then succeeds
+    except (StreamFormatError, ModelViolationError, UnicodeDecodeError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # on standard output, or on the file that -o names
+        try:
+            sys.stdout.flush()
+        except OSError:  # it failed: fd 1 on the null device, so the exit's flush succeeds
+            devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, 1)
             os.close(devnull)
         print(f"output error: {exc}", file=sys.stderr)
-        return 2
-    # OSError: a path that is missing, a directory or unreadable
-    except (StreamFormatError, ModelViolationError, OSError, UnicodeDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
         return 2
 
 

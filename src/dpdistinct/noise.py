@@ -17,9 +17,9 @@ n scalar ``random()`` calls.  The buffer holds the uniforms only.
 uniform with ``math.log``.  ``ahead(n)`` transforms the next n uniforms
 with ``np.log`` as it reads them and returns their draws at unit scale, so
 ``svt.AboveThreshold.scan`` can pick in one numpy pass the few tests that
-might fire, and ``take(k)`` consumes k draws.  A Gaussian draw first
-rewinds the generator to just after the last uniform taken (the saved
-bit-generator state, then ``advance``) and empties the buffer, so every
+might fire, and ``take(k)`` consumes k draws.  A Gaussian draw first steps
+the generator back over what was read ahead (the unread uniforms and the
+zeros dropped after the last one taken) and empties the buffer, so every
 draw, of either kind, is the one that scalar ``random()`` and
 ``standard_normal()`` calls in the same order would give.
 """
@@ -69,9 +69,7 @@ class RandomSource:
         self._live = mode == LIVE
         self._u = np.empty(0)  # buffered uniforms
         self._pos = 0  # index of the next draw in _u
-        self._state = None  # bit-generator state before the first buffered block
-        self._drawn = 0  # uniforms drawn since _state, zeros included
-        self._zeros: list[int] = []  # positions of the zeros among those drawn
+        self._zeros: list[int] = []  # non-zero uniforms drawn before each zero dropped
         # zero mode never draws and builds no generator; set last, so a zero
         # source's attributes are a prefix of a live one's
         if self._live:
@@ -80,14 +78,12 @@ class RandomSource:
     def _fill(self, n: int) -> None:
         """Draw blocks of uniforms until n are ahead."""
         while (short := n - (len(self._u) - self._pos)) > 0:
-            size = max(short, _BLOCK)
-            if self._state is None:
-                self._state = self._rng.bit_generator.state
-            r = self._rng.random(size)
-            if np.count_nonzero(r) < size:
-                self._zeros += (np.flatnonzero(r == 0.0) + self._drawn).tolist()
+            r = self._rng.random(max(short, _BLOCK))
+            if not r.all():
+                zeros = np.flatnonzero(r == 0.0)
+                before = self.laplace_draws + len(self._u) - self._pos  # taken, then unread
+                self._zeros += (zeros - np.arange(len(zeros)) + before).tolist()
                 r = r[r != 0.0]
-            self._drawn += size
             if self._pos < len(self._u):
                 r = np.concatenate((self._u[self._pos :], r))
             self._u, self._pos = r, 0
@@ -131,19 +127,13 @@ class RandomSource:
         return value
 
     def _rewind(self) -> None:
-        """Empty the buffer; the generator resumes after the last uniform taken."""
-        used = self._drawn - len(self._zeros) - (len(self._u) - self._pos)  # draws taken
-        for z in self._zeros:
-            if z >= used:
-                break
-            used += 1
-        if used < self._drawn:
-            bg = self._rng.bit_generator
-            bg.state = self._state
-            bg.advance(used)
+        """Empty the buffer, stepping the generator back over what was read
+        ahead: the unread uniforms and the zeros dropped after the last one taken."""
+        behind = len(self._u) - self._pos + sum(z >= self.laplace_draws for z in self._zeros)
+        if behind:  # PCG64 advances modulo its period 2^128: this steps back
+            self._rng.bit_generator.advance((1 << 128) - behind)
         self._u = np.empty(0)
-        self._pos = self._drawn = 0
-        self._state = None
+        self._pos = 0
         self._zeros = []
 
     def gaussian(self, sigma: float) -> float:
@@ -153,7 +143,7 @@ class RandomSource:
             return 0.0
         if not 0 < sigma < math.inf:
             raise ParameterError(f"Gaussian std must be positive and finite, got {sigma}")
-        if self._state is not None:
+        if self._pos < len(self._u) or self._zeros:
             self._rewind()
         self.gaussian_draws += 1
         return sigma * self._rng.standard_normal()

@@ -970,3 +970,26 @@ def test_closed_stdout_is_output_error(tmp_path, command, unbuffered):
         os.close(write_end)
     assert child.returncode == 2
     assert child.stderr.startswith("output error: ") and child.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="writes to /dev/full")
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+@pytest.mark.parametrize("command", ["bounds", "trials", "probe", "bench", "generate", "run"])
+def test_full_stdout_is_output_error(tmp_path, command, unbuffered):
+    # a write to standard output that fails, in print or in a flush, is no input error
+    path = write_stream(tmp_path)
+    mechanism = ["--mechanism", "known-k", "--K", "4"]
+    argv = {
+        "bounds": BOUNDS,
+        "trials": ["trials", "--input", path, *mechanism, "--trials", "3"],
+        "probe": ["probe", "--input", path, "--neighbor", path, *mechanism, "--samples", "2"],
+        "bench": ["bench", "--input", path, *mechanism],
+        "generate": ["generate", "random", "--d", "5", "--T", "5", "-o", str(tmp_path / "g")],
+        "run": ["run", "--input", path, *mechanism],
+    }[command]
+    with open("/dev/full", "w") as full:
+        child = run_child("-m", "dpdistinct.cli", *argv, stdout=full,
+                          PYTHONUNBUFFERED=unbuffered)
+    assert (child.returncode, child.stderr) == (
+        2, f"output error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    )

@@ -231,7 +231,7 @@ class _StubGenerator:
         return 0.0
 
     def advance(self, k):
-        self.state += k
+        self.state = (self.state + k) % (1 << 128)  # PCG64's period
 
 
 def _disagreements(b=4.0, block=64):
@@ -348,3 +348,82 @@ def test_zero_uniform_is_dropped():
     # the normal draw takes one more
     taken = [i for i, v in enumerate(values) if v != 0.0][: runs[0][2]]
     assert runs[0][3] == taken[-1] + 2
+
+
+def _positions(values, ops):
+    """Run ops on a source over a stub, and as scalar calls on another stub: a
+    Laplace draw takes random() until one is non-zero, a Gaussian draw one
+    standard_normal().  Returns both stubs' positions and Laplace counts."""
+    src = RandomSource(0)
+    src._rng = _StubGenerator(values)
+    ref, draws = _StubGenerator(values), 0
+    for op, n in ops:
+        if op == "ahead":
+            src.ahead(n)
+            continue
+        if op == "take":
+            src.take(n)
+        for _ in range(n):
+            if op == "gaussian":
+                src.gaussian(1.0)
+                ref.standard_normal()
+                continue
+            if op == "laplace":
+                src.laplace(1.0)
+            while ref.random(1)[0] == 0.0:
+                pass
+            draws += 1
+    return (src._rng.state, src.laplace_draws), (ref.state, draws)
+
+
+PAD = [0.5] * (2 * _BLOCK)
+REWINDS = {
+    # the zero came before the last uniform taken: the scalar draws skipped it
+    "zero-before-cursor": ([0.3, 0.0, 0.6, 0.2], [("ahead", 3), ("take", 2), ("gaussian", 1)]),
+    # the zero is right after the last uniform taken, still unread
+    "zero-at-cursor": ([0.3, 0.6, 0.0, 0.2], [("ahead", 3), ("take", 2), ("gaussian", 1)]),
+    "zero-after-cursor": ([0.3, 0.6, 0.2, 0.0], [("ahead", 3), ("take", 2), ("gaussian", 1)]),
+    # two zeros in a row each come after one non-zero uniform
+    "two-zeros-before-cursor": (
+        [0.3, 0.0, 0.0, 0.6, 0.2], [("ahead", 3), ("take", 2), ("gaussian", 1)]
+    ),
+    # every uniform buffered is taken, and the block's last raw draw was a zero
+    "zero-at-cursor-nothing-unread": (
+        [0.5] * (_BLOCK - 1) + [0.0],
+        [("ahead", _BLOCK - 1), ("take", _BLOCK - 1), ("gaussian", 1)],
+    ),
+    # the stepped-back zero is read again, and dropped again, by the next fill
+    "zero-read-again": (
+        [0.3, 0.6, 0.2, 0.0, 0.7],
+        [("ahead", 3), ("take", 2), ("gaussian", 1), ("laplace", 2), ("gaussian", 1)],
+    ),
+    "nothing-read-ahead": ([], [("ahead", _BLOCK), ("take", _BLOCK), ("gaussian", 1)]),
+    "nothing-drawn": ([], [("gaussian", 2)]),
+}
+# the second fill carries 251 unread uniforms over and holds a zero after
+# 257 non-zero uniforms; 251, 252 and 253 more draws leave the cursor before,
+# at and past it
+REWINDS |= {
+    f"second-fill-take-{k}": (
+        [0.5] * _BLOCK + [0.3, 0.0, 0.6],
+        [("ahead", 10), ("take", 5), ("ahead", _BLOCK), ("take", k), ("gaussian", 1)],
+    )
+    for k in (251, 252, 253)
+}
+
+
+@pytest.mark.parametrize("case", list(REWINDS))
+def test_rewind_lands_where_scalar_draws_do(case):
+    values, ops = REWINDS[case]
+    got, want = _positions(values + PAD, ops)
+    assert got == want
+
+
+def test_advancing_by_the_period_less_k_steps_back_k_draws():
+    # numpy's PCG64 advances modulo its period 2^128, which the rewind relies on
+    u = np.random.default_rng(5).random(10)
+    for k in (1, 4, 10):
+        rng = np.random.default_rng(5)
+        rng.random(10)
+        rng.bit_generator.advance((1 << 128) - k)
+        assert rng.random() == u[10 - k]
