@@ -63,9 +63,7 @@ class RandomSource:
         self.seed = seed
         self.mode = mode
         self.laplace_calls = 0
-        self.laplace_draws = 0
         self.gaussian_calls = 0
-        self.gaussian_draws = 0
         self._live = mode == LIVE
         self._u = np.empty(0)  # buffered uniforms
         self._pos = 0  # index of the next draw in _u
@@ -75,13 +73,17 @@ class RandomSource:
         if self._live:
             self._rng = np.random.default_rng(seed)
 
+    # live draws of each kind: its calls in live mode, none in zero mode
+    laplace_draws = property(lambda self: self.laplace_calls if self._live else 0)
+    gaussian_draws = property(lambda self: self.gaussian_calls if self._live else 0)
+
     def _fill(self, n: int) -> None:
         """Draw blocks of uniforms until n are ahead."""
         while (short := n - (len(self._u) - self._pos)) > 0:
             r = self._rng.random(max(short, _BLOCK))
             if not r.all():
                 zeros = np.flatnonzero(r == 0.0)
-                before = self.laplace_draws + len(self._u) - self._pos  # taken, then unread
+                before = self.laplace_calls + len(self._u) - self._pos  # taken, then unread
                 self._zeros += (zeros - np.arange(len(zeros)) + before).tolist()
                 r = r[r != 0.0]
             if self._pos < len(self._u):
@@ -107,7 +109,6 @@ class RandomSource:
         """Consume the next k Laplace draws."""
         self.laplace_calls += k
         if self._live:
-            self.laplace_draws += k
             self._pos += k
 
     def laplace(self, b: float) -> float:
@@ -122,14 +123,13 @@ class RandomSource:
         u = self._u.item(self._pos) - 0.5  # the inverse CDF of Lap(b)
         value = -b * math.copysign(math.log(1.0 - 2.0 * abs(u)), u)
         self.laplace_calls += 1  # take(1), inlined on the per-draw path
-        self.laplace_draws += 1
         self._pos += 1
         return value
 
     def _rewind(self) -> None:
         """Empty the buffer, stepping the generator back over what was read
         ahead: the unread uniforms and the zeros dropped after the last one taken."""
-        behind = len(self._u) - self._pos + sum(z >= self.laplace_draws for z in self._zeros)
+        behind = len(self._u) - self._pos + sum(z >= self.laplace_calls for z in self._zeros)
         if behind:  # PCG64 advances modulo its period 2^128: this steps back
             self._rng.bit_generator.advance((1 << 128) - behind)
         self._u = np.empty(0)
@@ -138,12 +138,11 @@ class RandomSource:
 
     def gaussian(self, sigma: float) -> float:
         """One N(0, sigma^2) sample (0 in zero mode)."""
+        if self._live and not 0 < sigma < math.inf:
+            raise ParameterError(f"Gaussian std must be positive and finite, got {sigma}")
         self.gaussian_calls += 1
         if not self._live:
             return 0.0
-        if not 0 < sigma < math.inf:
-            raise ParameterError(f"Gaussian std must be positive and finite, got {sigma}")
         if self._pos < len(self._u) or self._zeros:
             self._rewind()
-        self.gaussian_draws += 1
         return sigma * self._rng.standard_normal()

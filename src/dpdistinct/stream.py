@@ -336,7 +336,7 @@ def require_valid(stream: Stream) -> None:
 # Files are read as UTF-8, whatever the locale; lines end where str.splitlines
 # ends them.  write_file writes ASCII with "\n" line ends on every platform.
 
-_TOKEN = re.compile(r"[+-]?[0-9]{1,18}:[+-]?[0-9]{1,18}")  # 18 digits fit in int64
+_TOKEN = re.compile(r"[+-]?[0-9]{1,19}:[+-]?[0-9]{1,19}")  # each |number| < 2^63, as in int64
 
 WRITE_BLOCK = 1 << 14  # updates and steps per block: the writer's memory does not grow with T
 
@@ -415,12 +415,12 @@ _CLASS = bytes(
 _PAIRS = bytes(
     5 * a + b for a, b in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 4), (3, 2), (4, 2), (4, 3))
 )
-_MAX_DIGITS = 18  # as in _TOKEN
+_MAX_DIGITS = 19  # as in _TOKEN
 
 
 def _digits_back(buf: np.ndarray, base: int, at: np.ndarray):
     """The numbers whose last digits are ``buf[base + at]``, negated after a "-",
-    or None if one has over 18 digits; ``base >= 18``, ``buf[base]`` no digit."""
+    or None if one is 2^63 or more in magnitude; ``base >= 19``, ``buf[base]`` no digit."""
     value = np.zeros(len(at), dtype=np.int64)
     for lo in range(0, len(at), 1 << 15):  # blocks whose temporaries stay in cache
         block, part = at[lo : lo + (1 << 15)], value[lo : lo + (1 << 15)]
@@ -429,19 +429,19 @@ def _digits_back(buf: np.ndarray, base: int, at: np.ndarray):
             digit = buf[base - k :].take(block) - 48  # uint8: a non-digit wraps past 9
             minus |= live & (digit == 253)  # "-" is 45
             live &= digit < 10
-            if not live.any():
+            if not live.any() or k == _MAX_DIGITS:
                 break
-            if k == _MAX_DIGITS:
-                return None
             part += np.multiply(digit * live, 10**k, dtype=np.int64)
+        if k == _MAX_DIGITS and (live.any() or part.min() < 0):  # 20 digits, or 19 that wrapped
+            return None
         np.negative(part, out=part, where=minus)
     return value
 
 
 def _parse_columns(data: bytes, start: int):
     """Parse the data lines of ``data[start:]``, each ended by "\\n", into
-    a list [offsets, items, deltas], or return None.  ``start > 18``, as after
-    a header that ``_parse`` accepts: the digit loop reads up to 19 bytes before a token.
+    a list [offsets, items, deltas], or return None.  ``start >= 20``, as after
+    a header that ``_parse`` accepts: the digit loop reads up to 20 bytes before a token.
 
     The text parses when every token, split on spaces and tabs, matches
     ``_TOKEN``; the arrays then hold its numbers, line by line.  Any other
@@ -478,7 +478,7 @@ def _parse_columns(data: bytes, start: int):
             break
         at += more
     value = _digits_back(buf, start - 1, at)
-    # more than 18 digits, a token without exactly one colon, or a delta ended by one
+    # a number past int64, a token without exactly one colon, or a delta ended by one
     if items is None or value is None or len(sign) != tokens or np.any(body[at] == 58):
         return None
     # "+" is 43, "-" is 45; int8, the stored type, when no delta needed the digit loop
@@ -489,10 +489,11 @@ def _parse_columns(data: bytes, start: int):
 
 def _bad_token(lines: list[str]) -> StreamFormatError:
     """The error for the first token, by line and then position, that does
-    not match ``_TOKEN``; tokens are split on spaces and tabs."""
+    not match ``_TOKEN`` or has a number of 2^63 or more in magnitude; tokens
+    are split on spaces and tabs."""
     for lineno, line in enumerate(lines, start=2):
         for token in re.findall(r"[^ \t]+", line):
-            if not _TOKEN.fullmatch(token):
+            if not _TOKEN.fullmatch(token) or any(abs(int(n)) >= 2**63 for n in token.split(":")):
                 return StreamFormatError(f"bad token {token!r} on line {lineno}")
     raise AssertionError("_parse_columns rejected text that matches the grammar")
 

@@ -226,6 +226,19 @@ class TestDstreamFormat:
             assert again.d == s.d and again.T == s.T and again.model == s.model
             assert again.batches == s.batches
 
+    @pytest.mark.parametrize("items", [[10**18 + 5], [2**63 - 1], [10**18 + 5, 2**63 - 1]],
+                             ids=["10^18+5", "2^63-1", "both"])
+    def test_19_digit_ids_round_trip(self, tmp_path, items):
+        # the widest ids a Stream holds: the reader takes what the writer writes
+        n = len(items)
+        s = Stream.from_columns(2**63 - 1, 2, "likes", [0, n, n], items, [1] * n)
+        path = tmp_path / "wide.dstream"
+        streammod.write_file(s, path)
+        for again in (streammod.read_file(path), streammod.loads(streammod.dumps(s))):
+            assert (again.d, again.T, again.model) == (s.d, s.T, s.model)
+            assert again.batches == s.batches == [[(i, 1) for i in items], []]
+            assert again.counts.tolist() == s.counts.tolist()
+
     def test_header_shape(self):
         text = streammod.dumps(Stream(d=2, T=2, model="likes", batches=[[(1, 1)]]))
         assert text.splitlines()[0] == "dstream 1 2 2 likes"

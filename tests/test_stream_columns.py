@@ -1,7 +1,7 @@
 """Property tests: the columnar Stream against the per-batch reference.
 
 ``reference_loads`` is a per-token parse that checks each token against the
-documented grammar (``GRAMMAR``), and ``reference_index`` the per-batch
+documented grammar (``in_grammar``), and ``reference_index`` the per-batch
 validation loop that the columnar constructor replaced.  For every input,
 the columnar code must build the same stream (batches, counts, total and
 largest flippancy, violation, singleton, and the ``.dstream`` text that
@@ -36,8 +36,13 @@ SETTINGS = settings(
 )
 
 
-# an item and a delta, each an optional sign and 1 to 18 ASCII digits
-GRAMMAR = re.compile(r"[+-]?[0-9]{1,18}:[+-]?[0-9]{1,18}")
+# an item and a delta, each an optional sign and 1 to 19 ASCII digits, and
+# each below 2^63 in magnitude (in_grammar checks both)
+GRAMMAR = re.compile(r"[+-]?[0-9]{1,19}:[+-]?[0-9]{1,19}")
+
+
+def in_grammar(token):
+    return bool(GRAMMAR.fullmatch(token)) and all(abs(int(n)) < 2**63 for n in token.split(":"))
 
 
 def tokens_of(line):
@@ -46,10 +51,10 @@ def tokens_of(line):
 
 
 def first_bad_token(lines):
-    """(token, line number) of the first token outside GRAMMAR, or None."""
+    """(token, line number) of the first token outside the grammar, or None."""
     for lineno, line in enumerate(lines, start=2):
         for token in tokens_of(line):
-            if not GRAMMAR.fullmatch(token):
+            if not in_grammar(token):
                 return token, lineno
     return None
 
@@ -163,8 +168,7 @@ def assert_same_stream(s, d, T, model, batches, index):
         path = Path(tmp) / "s.dstream"
         streammod.write_file(s, path)
         assert first_difference(path.read_bytes().decode("latin-1"), text) is None
-    if s.items.max(initial=0) < 10**18:  # GRAMMAR reads ids of up to 18 digits
-        assert streammod.loads(text).batches == batches
+    assert streammod.loads(text).batches == batches
 
 
 # --- .dstream text --------------------------------------------------------
@@ -175,6 +179,7 @@ NUMBER = st.one_of(
     st.integers(0, 9).map(str),
     st.builds(lambda z, n: "0" * z + str(n), st.integers(0, 20), st.integers(0, 12)),
     st.integers(10**17, 10**20).map(str),
+    st.sampled_from([2**63 - 1, 2**63, 10**19 - 1, 10**19]).map(str),  # int64's and 19 digits' edges
 )
 WELL_FORMED = st.builds(lambda i, s: f"{i}:{s}1", st.integers(1, 6), st.sampled_from("+-"))
 NUMERIC = st.builds(lambda a, n, b, m: f"{a}{n}:{b}{m}", SIGN, NUMBER, SIGN, NUMBER)
@@ -311,12 +316,15 @@ def test_read_file_matches_loads(tmp_path_factory, data):
 
 
 # respellings of an "item:+1" token: the parser reads each with its digit
-# loop (a sign, zero padding, a delta other than "+1" or "-1", a tab after
-# it), or rejects it (a 19-digit number, a second colon, a trailing colon)
-ODD_ITEM = st.sampled_from(["+{}", "-{}", "{:018d}", "-{:018d}", "{:019d}", "+{:019d}"])
+# loop (a sign, zero padding to 19 digits, a delta other than "+1" or "-1", a
+# tab after it), or rejects it (a 20-digit number, one of 2^63 or more in
+# magnitude, a second colon, a trailing colon)
+ODD_ITEM = st.sampled_from(["+{}", "-{}", "{:018d}", "-{:018d}", "{:019d}", "+{:019d}", "{:020d}",
+                            str(2**63), "-" + str(2**63)])
 ODD_DELTA = st.sampled_from(
     [":1", ":11", ":+01", ":-01", ":+10", ":+0", ":-1\t", ":+1:+1", ":1:",
-     ":-000000000000000001", ":+0000000000000000001"]
+     ":-000000000000000001", ":+0000000000000000001", ":-00000000000000000001",
+     ":" + str(2**63 - 1), ":-" + str(2**63)]
 )
 
 
@@ -433,6 +441,13 @@ def test_write_file_traced_peak(tmp_path, shape):
         "dstream 1 5 4 general\n0000000000000000000001:+1\n",
         "dstream 1 5 4 general\n99999999999999999999:+1\n",
         "dstream 1 5 4 general\n1:+99999999999999999999\n",
+        "dstream 1 5 4 general\n0000000000000000001:+1 2:0000000000000000001\n",
+        "dstream 1 5 4 general\n1:+9223372036854775807\n",
+        "dstream 1 5 4 general\n-9223372036854775807:+1\n",
+        "dstream 1 9223372036854775807 3 general\n9223372036854775807:+1 1000000000000000005:-1\n",
+        "dstream 1 9223372036854775807 3 general\n1:+1\n9223372036854775808:+1\n",
+        "dstream 1 9223372036854775807 3 general\n1:+1\n-9223372036854775808:+1\n",
+        "dstream 1 9223372036854775807 3 general\n1:-9999999999999999999\n",
         "dstream 1 0 1 general\n1:+1\n",
         "dstream 1 5 1 general\n\n\n",
         "dstream 1 5 4 general\n1 2 :\n",
