@@ -17,15 +17,21 @@ n scalar ``random()`` calls.  The buffer holds the uniforms only.
 uniform with ``math.log``.  ``ahead(n)`` transforms the next n uniforms
 with ``np.log`` as it reads them and returns their draws at unit scale, so
 ``svt.AboveThreshold.scan`` can pick in one numpy pass the few tests that
-might fire, and ``take(k)`` consumes k draws.  A Gaussian draw first steps
-the generator back over what was read ahead (the unread uniforms and the
-zeros dropped after the last one taken) and empties the buffer, so every
-draw, of either kind, is the one that scalar ``random()`` and
-``standard_normal()`` calls in the same order would give.
+might fire, and ``take(k)`` consumes k draws.
+
+The two kinds of draw come from two independent generators, so the draws
+of one kind do not depend on how many of the other came before:
+- the Laplace draws are those of one scalar ``random()`` per draw on
+  ``default_rng(seed)``, skipping exact zeros, whatever was read ahead and
+  whatever Gaussians were drawn;
+- the Gaussian draws are those of one ``standard_normal()`` per draw on a
+  generator seeded with the first child of ``SeedSequence(seed)``, whatever
+  Laplace draws came before.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -52,8 +58,7 @@ def child_seed(base_seed: int, index: int) -> int:
 
 
 class RandomSource:
-    """Seeded Laplace and Gaussian draws.  Only 64-bit values are drawn,
-    because ``advance`` resets the bit generator's buffered 32-bit half."""
+    """Seeded Laplace and Gaussian draws."""
 
     def __init__(self, seed: int, mode: str = LIVE):
         if mode not in (LIVE, ZERO):
@@ -67,11 +72,16 @@ class RandomSource:
         self._live = mode == LIVE
         self._u = np.empty(0)  # buffered uniforms
         self._pos = 0  # index of the next draw in _u
-        self._zeros: list[int] = []  # non-zero uniforms drawn before each zero dropped
         # zero mode never draws and builds no generator; set last, so a zero
         # source's attributes are a prefix of a live one's
         if self._live:
             self._rng = np.random.default_rng(seed)
+
+    @functools.cached_property
+    def _normal(self) -> np.random.Generator:
+        """The Gaussian draws' generator, built at the first live Gaussian
+        draw, so a source that draws only Laplace noise never builds it."""
+        return np.random.default_rng(np.random.SeedSequence(self.seed).spawn(1)[0])
 
     # live draws of each kind: its calls in live mode, none in zero mode
     laplace_draws = property(lambda self: self.laplace_calls if self._live else 0)
@@ -82,9 +92,6 @@ class RandomSource:
         while (short := n - (len(self._u) - self._pos)) > 0:
             r = self._rng.random(max(short, _BLOCK))
             if not r.all():
-                zeros = np.flatnonzero(r == 0.0)
-                before = self.laplace_calls + len(self._u) - self._pos  # taken, then unread
-                self._zeros += (zeros - np.arange(len(zeros)) + before).tolist()
                 r = r[r != 0.0]
             if self._pos < len(self._u):
                 r = np.concatenate((self._u[self._pos :], r))
@@ -126,16 +133,6 @@ class RandomSource:
         self._pos += 1
         return value
 
-    def _rewind(self) -> None:
-        """Empty the buffer, stepping the generator back over what was read
-        ahead: the unread uniforms and the zeros dropped after the last one taken."""
-        behind = len(self._u) - self._pos + sum(z >= self.laplace_calls for z in self._zeros)
-        if behind:  # PCG64 advances modulo its period 2^128: this steps back
-            self._rng.bit_generator.advance((1 << 128) - behind)
-        self._u = np.empty(0)
-        self._pos = 0
-        self._zeros = []
-
     def gaussian(self, sigma: float) -> float:
         """One N(0, sigma^2) sample (0 in zero mode)."""
         if self._live and not 0 < sigma < math.inf:
@@ -143,6 +140,4 @@ class RandomSource:
         self.gaussian_calls += 1
         if not self._live:
             return 0.0
-        if self._pos < len(self._u) or self._zeros:
-            self._rewind()
-        return sigma * self._rng.standard_normal()
+        return sigma * self._normal.standard_normal()

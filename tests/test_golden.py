@@ -96,10 +96,12 @@ CASES = {
         "run", "multi", ["unknown-k-all", "--eps", "50"],
         "cbd3d9e2219cf773e09b04ae4d6ab754c9f96cbb6c7cdf5cd4dc85489f4896d8",
     ),
+    # this and gaussian-T were re-recorded when Gaussian draws moved to their
+    # own generator
     "unknown-k-all gaussian fallback": (
         "run", "short",
         ["unknown-k-all", "--eps", "0.95", "--delta", "0.01", "--beta", "0.5"],
-        "9894b2e9f12865ae1364b13d2aee8055ec54fb2f7a63d0246fb485b3c6b531ee",
+        "afeb380923f091a19c5d9e322ec30ecd4d820ff2057cb9ab42d620259dd925b1",
     ),
     # 14 and 15 instances at seed 5; recorded before the two unknown-K runners
     # shared one doubling loop
@@ -125,7 +127,7 @@ CASES = {
     ),
     "gaussian-T": (
         "run", "general", ["gaussian-T", "--eps", "0.5", "--delta", "0.01"],
-        "ee795db7b9cdb7bf4f22bd9de7e212b98e638d19a67a54ef050d49c6eace8317",
+        "8a2558ea81b2abb10a64656b63e9fd07ba3306ed240809085ab61fa59ab97cf3",
     ),
     "continual-likes": (
         "run", "likes", ["continual-likes", "--eps", "1"],

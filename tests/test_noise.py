@@ -46,8 +46,21 @@ class TestZeroMode:
     def test_zero_mode_builds_no_generator(self):
         src = RandomSource(0, "zero")
         src.laplace(1.0)
+        src.ahead(3)
         src.gaussian(1.0)
-        assert "_rng" not in vars(src)
+        src.gaussian(2.0)
+        assert not {"_rng", "_normal"} & vars(src).keys()
+
+    def test_gaussian_generator_built_at_first_gaussian_draw(self):
+        # a Laplace-only source, as every known-K trial and probe sample is,
+        # never builds the Gaussian draws' generator
+        src = RandomSource(0)
+        src.laplace(1.0)
+        src.ahead(3)
+        src.take(2)
+        assert "_normal" not in vars(src)
+        src.gaussian(1.0)
+        assert "_normal" in vars(src)
 
     def test_zero_mode_skips_scale_validation(self):
         src = RandomSource(0, "zero")
@@ -86,11 +99,8 @@ class _Uniforms:
     """Generator stub that hands out a fixed sequence of uniforms; it raises
     when asked for more than it holds."""
 
-    state = None
-
     def __init__(self, values):
         self.values = list(values)
-        self.bit_generator = self
 
     def random(self, size):
         if size > len(self.values):
@@ -133,12 +143,17 @@ def _ref_uniforms(rng: np.random.Generator, n: int) -> list[float]:
     return out
 
 
-OPS = st.one_of(
+def _ref_normals(seed: int) -> np.random.Generator:
+    """The raw generator of a source's Gaussian draws."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+
+
+LAPLACE_OPS = st.one_of(
     st.tuples(st.just("laplace"), st.sampled_from([0.5, 1.0, 7.0])),
-    st.tuples(st.just("gaussian"), st.sampled_from([0.5, 3.0])),
     # ahead(n), then take(k) with k <= n
     st.tuples(st.just("scan"), st.integers(1, 2 * _BLOCK + 10), st.floats(0.0, 1.0)),
 )
+OPS = LAPLACE_OPS | st.tuples(st.just("gaussian"), st.sampled_from([0.5, 3.0]))
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -149,11 +164,11 @@ OPS = st.one_of(
 )
 def test_source_matches_raw_generator(ops, mode, seed):
     """Any mix of scalar, read-ahead and Gaussian draws gives the values and
-    counts of one scalar random() per Laplace draw and one standard_normal()
-    per Gaussian draw on a raw generator."""
+    counts of one scalar random() per Laplace draw on a raw generator, and
+    one standard_normal() per Gaussian draw on another."""
     live = mode == "live"
     src = RandomSource(seed, mode)
-    ref = np.random.default_rng(seed)
+    ref, normals = np.random.default_rng(seed), _ref_normals(seed)
     calls = gaussians = 0
     for op in ops:
         if op[0] == "laplace":
@@ -161,7 +176,7 @@ def test_source_matches_raw_generator(ops, mode, seed):
             assert src.laplace(op[1]) == want
             calls += 1
         elif op[0] == "gaussian":
-            want = op[1] * ref.standard_normal() if live else 0.0
+            want = op[1] * normals.standard_normal() if live else 0.0
             assert src.gaussian(op[1]) == want
             gaussians += 1
         else:
@@ -190,10 +205,38 @@ def test_source_matches_raw_generator(ops, mode, seed):
     assert (src.gaussian_calls, src.gaussian_draws) == (gaussians, live_gaussians)
     if live:
         assert src.laplace(1.0) == _ref_laplace(_ref_uniforms(ref, 1)[0], 1.0)
-        assert src.gaussian(1.0) == ref.standard_normal()
-        assert src._rng.random() == ref.random()
+        assert src.gaussian(1.0) == normals.standard_normal()
     else:
-        assert "_rng" not in vars(src)
+        assert not {"_rng", "_normal"} & vars(src).keys()
+
+
+def _laplace_op(src: RandomSource, op):
+    """Run one LAPLACE_OPS entry on src; returns the draws it made or read."""
+    if op[0] == "laplace":
+        return src.laplace(op[1])
+    _, n, frac = op
+    unit = src.ahead(n)
+    src.take(int(frac * n))
+    return unit.tobytes()
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(ops=st.lists(LAPLACE_OPS, max_size=8), seed=st.integers(0, 2**32))
+def test_gaussian_draws_are_independent_of_laplace_draws(ops, seed):
+    """Whatever Laplace draws, read-ahead and takes came before, the next
+    Gaussian draw is a fresh same-seed source's first; and Gaussian draws
+    between the Laplace draws leave those unchanged."""
+    fresh = RandomSource(seed)
+    want = [fresh.gaussian(2.0) for _ in range(len(ops) + 1)]
+    plain, mixed = RandomSource(seed), RandomSource(seed)
+    got = [mixed.gaussian(2.0)]
+    for op in ops:
+        assert _laplace_op(mixed, op) == _laplace_op(plain, op)
+        got.append(mixed.gaussian(2.0))
+    assert got == want
+    assert plain.gaussian(2.0) == want[0]
+    assert mixed.laplace(1.0) == plain.laplace(1.0)
+    assert (mixed.laplace_calls, mixed.gaussian_calls) == (plain.laplace_calls, len(ops) + 1)
 
 
 def laplace_draws(seed: int, b: float, n: int) -> np.ndarray:

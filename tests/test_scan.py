@@ -3,13 +3,16 @@
 ``step_loop`` is the loop the scanner replaced: it feeds each q_t to
 ``KnownKMechanism.step_count``.  For every input the scanner must release
 the same values, fire and abort at the same steps, count the same draws and
-leave the source at the same next draw.  The runner tests swap the scanner
-for ``step_loop`` to build the reference run, so unknown-K chains,
-frozen all-bounds instances and fallbacks after an instance (where a
-Gaussian draw has to rewind the generator past the scanner's look-ahead) are
-compared end to end.
+leave the source at the same next draw of each kind.  The scanner reads
+uniforms ahead, so the two leave the Laplace generator at different
+positions; only the draws are compared.  Gaussian draws come from their own
+generator, so a Gaussian draw after a scan is the one it would be after the
+step loop.  The runner tests swap the scanner for ``step_loop`` to build the
+reference run, so unknown-K chains, frozen all-bounds instances and
+fallbacks after an instance are compared end to end.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -49,15 +52,13 @@ def step_loop(mech, q, t, outputs):
 
 
 def source_after(src):
-    """Draw counters, then the source's next draws of each kind and, in live
-    mode, its generator's next uniform (zero mode builds no generator)."""
+    """Draw counters, then the source's next draws of each kind."""
     return (
         src.laplace_calls,
         src.laplace_draws,
         src.gaussian_calls,
         src.laplace(1.0),
         src.gaussian(1.0),
-        src._rng.random() if src.mode == "live" else None,
     )
 
 
@@ -93,6 +94,27 @@ def test_scan_matches_step_count(q, start, S_K, thresh, eps1, frozen_out, mode, 
     t_a = mechanisms._scan(mech_a, q, start, outs_a)
     t_b = step_loop(mech_b, q, start, outs_b)
     assert (t_a, outs_a) == (t_b, outs_b)
+    assert state(mech_a) == state(mech_b)
+    assert source_after(src_a) == source_after(src_b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scan_matches_step_count_in_the_largest_windows(seed):
+    # the quiet windows double up to _MAX_WINDOW within its first
+    # _MAX_WINDOW steps, so three full windows of that length follow; the
+    # jump at the last step fires and refreshes
+    n = 4 * mechanisms._MAX_WINDOW
+    q = np.zeros(n, dtype=np.int64)
+    q[-1] = 10**6
+    cfg = KnownKConfig(
+        eps=1.0, delta=0.0, K=1, T=n, beta=0.1, S_K=3, eps1=1.0, thresh=200.0
+    )
+    src_a, src_b = RandomSource(seed), RandomSource(seed)
+    mech_a, mech_b = KnownKMechanism(cfg, None, src_a), KnownKMechanism(cfg, None, src_b)
+    outs_a, outs_b = [], []
+    assert mechanisms._scan(mech_a, q, 0, outs_a) == step_loop(mech_b, q, 0, outs_b) == n
+    assert outs_a == outs_b
+    assert outs_a[-1] != outs_a[-2] and mech_a.count == 2  # one refresh, at the end
     assert state(mech_a) == state(mech_b)
     assert source_after(src_a) == source_after(src_b)
 
@@ -202,7 +224,7 @@ def test_fallback_after_an_instance(pp, beta, d, T, kind):
     # all d items arrive at step 1: instance 1 fires there and aborts, and the
     # comparison before instance 2 picks the baseline.  The scanner read
     # uniforms past the abort: the boundary refresh and the Laplace baseline
-    # take them next, and the Gaussian baseline must rewind past them.
+    # take them next.
     batches = [[(i, 1) for i in range(1, d + 1)]] + [[] for _ in range(T - 1)]
     s = Stream(d=d, T=T, model="likes", batches=batches)
     for seed in range(10):
@@ -211,27 +233,18 @@ def test_fallback_after_an_instance(pp, beta, d, T, kind):
 
 
 class _StubGenerator:
-    """A generator handing out fixed uniforms, with a rewindable position;
-    it raises when asked for more uniforms than it holds, and its normal
-    draws are 0.0."""
+    """A generator handing out fixed uniforms; it raises when asked for more
+    uniforms than it holds."""
 
     def __init__(self, values):
         self.values = list(values)
         self.state = 0
-        self.bit_generator = self
 
     def random(self, size):
         if self.state + size > len(self.values):
             raise IndexError(f"stub asked for {size} uniforms past {self.state}")
         self.state += size
         return np.array(self.values[self.state - size : self.state])
-
-    def standard_normal(self):
-        self.state += 1
-        return 0.0
-
-    def advance(self, k):
-        self.state = (self.state + k) % (1 << 128)  # PCG64's period
 
 
 def _disagreements(b=4.0, block=64):
@@ -319,15 +332,14 @@ def test_threshold_decided_by_scalar_log(vector_above, level):
         src = RandomSource(0)
         src._rng = _StubGenerator(values)
         result, fired = drive(src, thresh)
-        src.gaussian(1.0)  # rewinds to just after the last uniform taken
-        runs.append((result, fired, src.laplace_draws, src._rng.state))
+        runs.append((result, fired, src.laplace_draws, src.laplace(1.0)))
     assert runs[0] == runs[1]
     assert runs[0][1] is not vector_above  # as math.log decides
 
 
 def test_zero_uniform_is_dropped():
     # a zero uniform is skipped, in a block and at a refresh, as the scalar
-    # redraw skips it, and the rewind counts it
+    # redraw skips it
     cfg = KnownKConfig(
         eps=1.0, delta=0.0, K=1, T=8, beta=0.1, S_K=4, eps1=1.0, thresh=1.0
     )
@@ -340,44 +352,44 @@ def test_zero_uniform_is_dropped():
         mech = KnownKMechanism(cfg, None, src)
         outputs = []
         drive(mech, q, 0, outputs)
-        src.gaussian(1.0)  # rewinds to just after the last uniform taken
-        runs.append((outputs, state(mech), src.laplace_draws, src._rng.state))
+        runs.append((outputs, state(mech), src.laplace_draws, src.laplace(1.0)))
     assert runs[0] == runs[1]
     assert runs[0][0][1] != runs[0][0][0]  # the step-2 draw 0.001 fired
-    # the rewind lands just after the last uniform taken, zeros counted, and
-    # the normal draw takes one more
-    taken = [i for i, v in enumerate(values) if v != 0.0][: runs[0][2]]
-    assert runs[0][3] == taken[-1] + 2
 
 
-def _positions(values, ops):
-    """Run ops on a source over a stub, and as scalar calls on another stub: a
-    Laplace draw takes random() until one is non-zero, a Gaussian draw one
-    standard_normal().  Returns both stubs' positions and Laplace counts."""
+def _draws(values, ops):
+    """Run ops on a source over a stub, and as scalar draws on the same
+    uniforms: a Laplace draw takes the next non-zero uniform, a Gaussian draw
+    the next one of a fresh same-seed source.  Returns each side's draws and
+    read-ahead, ending on three more Laplace draws."""
     src = RandomSource(0)
     src._rng = _StubGenerator(values)
-    ref, draws = _StubGenerator(values), 0
-    for op, n in ops:
+    nonzero, i = [v for v in values if v != 0.0], 0
+    fresh = RandomSource(0)
+    got, want = [], []
+    for op, n in ops + [("laplace", 3)]:
         if op == "ahead":
-            src.ahead(n)
-            continue
-        if op == "take":
+            u = np.array(nonzero[i : i + n]) - 0.5
+            got.append(src.ahead(n).tobytes())
+            want.append((-np.copysign(np.log(1.0 - 2.0 * np.abs(u)), u)).tobytes())
+        elif op == "take":
             src.take(n)
-        for _ in range(n):
-            if op == "gaussian":
-                src.gaussian(1.0)
-                ref.standard_normal()
-                continue
-            if op == "laplace":
-                src.laplace(1.0)
-            while ref.random(1)[0] == 0.0:
-                pass
-            draws += 1
-    return (src._rng.state, src.laplace_draws), (ref.state, draws)
+            i += n
+        elif op == "gaussian":
+            got += [src.gaussian(1.0) for _ in range(n)]
+            want += [fresh.gaussian(1.0) for _ in range(n)]
+        else:
+            got += [src.laplace(1.0) for _ in range(n)]
+            for u in nonzero[i : i + n]:
+                u -= 0.5  # the inverse CDF of Lap(1)
+                want.append(-math.copysign(math.log(1.0 - 2.0 * abs(u)), u))
+            i += n
+    return got, want
 
 
-PAD = [0.5] * (2 * _BLOCK)
-REWINDS = {
+# distinct uniforms after each case's own, so a draw off by one shows
+PAD = [(j + 1) / (2 * _BLOCK + 1) for j in range(2 * _BLOCK)]
+READ_AHEAD = {
     # the zero came before the last uniform taken: the scalar draws skipped it
     "zero-before-cursor": ([0.3, 0.0, 0.6, 0.2], [("ahead", 3), ("take", 2), ("gaussian", 1)]),
     # the zero is right after the last uniform taken, still unread
@@ -392,8 +404,8 @@ REWINDS = {
         [0.5] * (_BLOCK - 1) + [0.0],
         [("ahead", _BLOCK - 1), ("take", _BLOCK - 1), ("gaussian", 1)],
     ),
-    # the stepped-back zero is read again, and dropped again, by the next fill
-    "zero-read-again": (
+    # Gaussian draws between Laplace draws that cross a zero
+    "zero-between-gaussians": (
         [0.3, 0.6, 0.2, 0.0, 0.7],
         [("ahead", 3), ("take", 2), ("gaussian", 1), ("laplace", 2), ("gaussian", 1)],
     ),
@@ -403,7 +415,7 @@ REWINDS = {
 # the second fill carries 251 unread uniforms over and holds a zero after
 # 257 non-zero uniforms; 251, 252 and 253 more draws leave the cursor before,
 # at and past it
-REWINDS |= {
+READ_AHEAD |= {
     f"second-fill-take-{k}": (
         [0.5] * _BLOCK + [0.3, 0.0, 0.6],
         [("ahead", 10), ("take", 5), ("ahead", _BLOCK), ("take", k), ("gaussian", 1)],
@@ -412,18 +424,11 @@ REWINDS |= {
 }
 
 
-@pytest.mark.parametrize("case", list(REWINDS))
-def test_rewind_lands_where_scalar_draws_do(case):
-    values, ops = REWINDS[case]
-    got, want = _positions(values + PAD, ops)
+@pytest.mark.parametrize("case", list(READ_AHEAD))
+def test_draws_after_read_ahead_match_scalar_draws(case):
+    # wherever a zero uniform falls around the read-ahead cursor, the source
+    # reads ahead and draws the Laplace noise of the non-zero uniforms in
+    # order, and its Gaussian draws are a fresh source's
+    values, ops = READ_AHEAD[case]
+    got, want = _draws(values + PAD, ops)
     assert got == want
-
-
-def test_advancing_by_the_period_less_k_steps_back_k_draws():
-    # numpy's PCG64 advances modulo its period 2^128, which the rewind relies on
-    u = np.random.default_rng(5).random(10)
-    for k in (1, 4, 10):
-        rng = np.random.default_rng(5)
-        rng.random(10)
-        rng.bit_generator.advance((1 << 128) - k)
-        assert rng.random() == u[10 - k]
